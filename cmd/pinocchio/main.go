@@ -392,9 +392,8 @@ func printExplain(out io.Writer, c *core.Cost) {
 	fmt.Fprintf(out, "explain: %d object-candidate pairs\n", c.PairsTotal)
 	fmt.Fprintf(out, "  pruned by rule:   ia=%d (%.1f%%)  nib-box=%d (%.1f%%)  nib-arc=%d (%.1f%%)\n",
 		c.PrunedIA, pct(c.PrunedIA), c.PrunedNIBBox, pct(c.PrunedNIBBox), c.PrunedNIBArc, pct(c.PrunedNIBArc))
-	fmt.Fprintf(out, "  validated:        live=%d (%.1f%%)  memo=%d (%.1f%%)  skipped-by-bounds=%d (%.1f%%)\n",
-		c.ValidatedLive, pct(c.ValidatedLive), c.ValidatedMemo, pct(c.ValidatedMemo),
-		c.SkippedByBounds, pct(c.SkippedByBounds))
+	fmt.Fprintf(out, "  validated:        live=%d (%.1f%%)  skipped-by-bounds=%d (%.1f%%)\n",
+		c.ValidatedLive, pct(c.ValidatedLive), c.SkippedByBounds, pct(c.SkippedByBounds))
 	fmt.Fprintf(out, "  index work:       rtree-nodes=%d  grid-cells=%d  position-probes=%d\n",
 		c.RTreeNodeVisits, c.GridCellsScanned, c.PositionProbes)
 	if vc := c.VerdictCounts(); len(vc) > 0 {

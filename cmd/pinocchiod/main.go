@@ -99,7 +99,7 @@ func main() {
 	flag.IntVar(&opts.shards, "shards", 0, "engine shards: object mutations lock one shard, full-vector queries scatter-gather (0 = NumCPU)")
 	flag.IntVar(&opts.maxInflight, "max-inflight", 0, "concurrent query cap before shedding with 429 (0 = 2×max(GOMAXPROCS, shards))")
 	flag.IntVar(&opts.cacheSize, "cache-size", 128, "query result cache entries (negative disables)")
-	flag.IntVar(&opts.planCacheSize, "plan-cache", 32, "solve-plan cache entries, keyed by epoch and PF/τ (0 disables)")
+	flag.IntVar(&opts.planCacheSize, "plan-cache", 32, "influence indexes held, one per (shard snapshot, PF), each answering every τ of an interval (0 disables: queries solve live)")
 	flag.DurationVar(&opts.maxTimeout, "max-timeout", 30*time.Second, "cap on per-request query deadlines")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durable state directory (WAL + checkpoints); empty serves in-memory only")
 	flag.StringVar(&opts.fsync, "fsync", "always", "WAL durability policy: always, group or off")
@@ -178,7 +178,7 @@ func validateOptions(opts options) error {
 		return fmt.Errorf("-trace-keep must be >= 0 (got %d); use 0 to disable trace retention", opts.traceKeep)
 	}
 	if opts.planCacheSize < 0 {
-		return fmt.Errorf("-plan-cache must be >= 0 (got %d); use 0 to disable the solve-plan cache", opts.planCacheSize)
+		return fmt.Errorf("-plan-cache must be >= 0 (got %d); use 0 to disable the influence indexes", opts.planCacheSize)
 	}
 	if opts.maxSubs < 0 {
 		return fmt.Errorf("-max-subs must be >= 0 (got %d); use 0 to disable subscriptions", opts.maxSubs)

@@ -71,7 +71,7 @@ func PinocchioAblated(p *Problem, ab Ablation) (*Result, error) {
 		arcs := int64(0)
 		validate := func(cand int) {
 			st.Validated++
-			cost.validated(cand, false)
+			cost.validated(cand)
 			if validateFn(p.PF, p.Tau, p.Candidates[cand], e.obj.Positions, st) {
 				res.Influences[cand]++
 			}
@@ -131,7 +131,7 @@ func PinocchioAblated(p *Problem, ab Ablation) (*Result, error) {
 		}
 	}
 
-	res.BestIndex, res.BestInfluence = argmax(res.Influences)
+	res.BestIndex, res.BestInfluence = Argmax(res.Influences)
 	cost.finishExact(p, st, res.Influences, res.BestIndex)
 	return res, nil
 }

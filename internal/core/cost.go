@@ -2,10 +2,9 @@ package core
 
 // cost.go implements the query-EXPLAIN accounting layer: a Cost value
 // attached to Problem.Cost counts per-phase work — which prune rule
-// settled each object/candidate pair, whether remnant pairs were
-// validated live or replayed from a plan memo, how many index nodes
-// the scans touched — and optionally classifies every candidate into a
-// verdict table. All recording methods are nil-receiver-safe, so the
+// settled each object/candidate pair, how many remnant pairs were
+// validated, how many index nodes the scans touched — and optionally
+// classifies every candidate into a verdict table. All recording methods are nil-receiver-safe, so the
 // disabled path (Cost == nil, the default) costs a pointer test and
 // zero allocations.
 
@@ -43,7 +42,7 @@ const (
 // tables exist only after EnableVerdicts and feed the verdict table.
 //
 // The per-pair buckets partition PairsTotal: PrunedIA + PrunedNIBBox +
-// PrunedNIBArc + ValidatedLive + ValidatedMemo + SkippedByBounds ==
+// PrunedNIBArc + ValidatedLive + SkippedByBounds ==
 // PairsTotal for every solver (AccountedPairs returns the left side).
 type Cost struct {
 	// PairsTotal is r·m, copied from Stats at finish.
@@ -53,11 +52,9 @@ type Cost struct {
 	// PrunedNIBBox + PrunedNIBArc == Stats.PrunedByNIB.
 	PrunedNIBBox int64 `json:"pruned_nib_box"`
 	PrunedNIBArc int64 `json:"pruned_nib_arc"`
-	// ValidatedLive + ValidatedMemo == Stats.Validated: pairs decided
-	// by a live probability scan vs replayed from a plan's memoized
-	// outcome.
+	// ValidatedLive == Stats.Validated: pairs decided by a probability
+	// scan.
 	ValidatedLive int64 `json:"validated_live"`
-	ValidatedMemo int64 `json:"validated_memo"`
 	// SkippedByBounds mirrors Stats.SkippedByBounds (Strategy 1).
 	SkippedByBounds int64 `json:"skipped_by_bounds"`
 	// RTreeNodeVisits counts candidate R-tree nodes whose entries a
@@ -73,8 +70,7 @@ type Cost struct {
 	PositionProbes int64 `json:"position_probes"`
 
 	// PlanSource records solve-state provenance: "none" (built inline
-	// for this solve), "attached" (caller supplied a prebuilt plan), or
-	// the serving layer's "built"/"cached" (plan-cache miss/hit).
+	// for this solve) or "attached" (caller supplied a prebuilt plan).
 	PlanSource string `json:"plan_source,omitempty"`
 	// ResultCache is set by the serving layer: "hit" when the response
 	// came from the result cache (the counters then describe the solve
@@ -137,15 +133,6 @@ func (c *Cost) GridCellCounter() *int64 {
 	return &c.GridCellsScanned
 }
 
-// SetPlanSource stamps plan provenance; the serving layer uses
-// "cached"/"built" for its plan-cache outcome, overriding the solver's
-// "attached"/"none" default.
-func (c *Cost) SetPlanSource(src string) {
-	if c != nil {
-		c.PlanSource = src
-	}
-}
-
 // AddPositionProbes accumulates PF/position touches for callers with
 // no Stats to copy from (the baselines). Core solvers instead copy
 // Stats.PositionProbes at finish.
@@ -176,16 +163,12 @@ func (c *Cost) addNIB(arc, box int64) {
 	c.PrunedNIBBox += box
 }
 
-// validated records one validated pair; memo reports a plan replay.
-func (c *Cost) validated(cand int, memo bool) {
+// validated records one validated pair.
+func (c *Cost) validated(cand int) {
 	if c == nil {
 		return
 	}
-	if memo {
-		c.ValidatedMemo++
-	} else {
-		c.ValidatedLive++
-	}
+	c.ValidatedLive++
 	if c.candVal != nil {
 		c.candVal[cand]++
 	}
@@ -226,7 +209,6 @@ func (c *Cost) merge(o *Cost) {
 	c.PrunedNIBBox += o.PrunedNIBBox
 	c.PrunedNIBArc += o.PrunedNIBArc
 	c.ValidatedLive += o.ValidatedLive
-	c.ValidatedMemo += o.ValidatedMemo
 	c.SkippedByBounds += o.SkippedByBounds
 	c.RTreeNodeVisits += o.RTreeNodeVisits
 	c.GridCellsScanned += o.GridCellsScanned
@@ -248,7 +230,7 @@ func (c *Cost) AccountedPairs() int64 {
 		return 0
 	}
 	return c.PrunedIA + c.PrunedNIBBox + c.PrunedNIBArc +
-		c.ValidatedLive + c.ValidatedMemo + c.SkippedByBounds
+		c.ValidatedLive + c.SkippedByBounds
 }
 
 // PruneRatio is Stats.PruneRatio over the rule-split counters.
@@ -299,27 +281,23 @@ func (c *Cost) String() string {
 		return "cost{nil}"
 	}
 	return fmt.Sprintf(
-		"cost{pairs=%d ia=%d nibBox=%d nibArc=%d valLive=%d valMemo=%d skipped=%d rtreeNodes=%d gridCells=%d probes=%d plan=%q}",
+		"cost{pairs=%d ia=%d nibBox=%d nibArc=%d valLive=%d skipped=%d rtreeNodes=%d gridCells=%d probes=%d plan=%q}",
 		c.PairsTotal, c.PrunedIA, c.PrunedNIBBox, c.PrunedNIBArc,
-		c.ValidatedLive, c.ValidatedMemo, c.SkippedByBounds,
+		c.ValidatedLive, c.SkippedByBounds,
 		c.RTreeNodeVisits, c.GridCellsScanned, c.PositionProbes, c.PlanSource)
 }
 
 // finalize copies the totals from the solve's Stats and stamps default
-// plan provenance (the serving layer overrides PlanSource with its
-// plan-cache outcome before the solve).
+// plan provenance.
 func (c *Cost) finalize(p *Problem, st *Stats) {
 	if c == nil {
 		return
 	}
 	c.PairsTotal = st.PairsTotal
 	c.PositionProbes = st.PositionProbes
-	if c.PlanSource == "" {
-		if p.Plan != nil {
-			c.PlanSource = "attached"
-		} else {
-			c.PlanSource = "none"
-		}
+	c.PlanSource = "none"
+	if p.Plan != nil {
+		c.PlanSource = "attached"
 	}
 }
 

@@ -44,9 +44,8 @@ func checkCostIdentities(t *testing.T, name string, c *Cost, st *Stats, m int) {
 		t.Errorf("%s: cost nib %d (box %d + arc %d) != stats nib %d",
 			name, got, c.PrunedNIBBox, c.PrunedNIBArc, st.PrunedByNIB)
 	}
-	if got := c.ValidatedLive + c.ValidatedMemo; got != st.Validated {
-		t.Errorf("%s: cost validated %d (live %d + memo %d) != stats validated %d",
-			name, got, c.ValidatedLive, c.ValidatedMemo, st.Validated)
+	if c.ValidatedLive != st.Validated {
+		t.Errorf("%s: cost validated %d != stats validated %d", name, c.ValidatedLive, st.Validated)
 	}
 	if c.SkippedByBounds != st.SkippedByBounds {
 		t.Errorf("%s: cost skipped %d != stats skipped %d", name, c.SkippedByBounds, st.SkippedByBounds)
@@ -172,9 +171,9 @@ func TestCostExplainParity(t *testing.T) {
 }
 
 // TestCostWarmParity: a warm (plan-attached) solve must report the same
-// per-rule split as the cold solve that built the plan — validations
-// shift from live to memo and the R-tree walk is already paid for, but
-// the rule attribution and pair partition are identical.
+// per-rule split as the cold solve that built the plan — the R-tree
+// walk is already paid for, but the rule attribution, validations and
+// pair partition are identical.
 func TestCostWarmParity(t *testing.T) {
 	p := randomProblem(rand.New(rand.NewSource(23)), 90, 70, 0.7)
 	m := len(p.Candidates)
@@ -202,9 +201,8 @@ func TestCostWarmParity(t *testing.T) {
 			t.Errorf("%s: rule breakdown differs\ncold: %v\nwarm: %v",
 				s.name, cold.RuleBreakdown(), hot.RuleBreakdown())
 		}
-		if cold.ValidatedLive+cold.ValidatedMemo != hot.ValidatedLive+hot.ValidatedMemo {
-			t.Errorf("%s: validated total differs: cold %d+%d, warm %d+%d",
-				s.name, cold.ValidatedLive, cold.ValidatedMemo, hot.ValidatedLive, hot.ValidatedMemo)
+		if cold.ValidatedLive != hot.ValidatedLive {
+			t.Errorf("%s: validated differs: cold %d, warm %d", s.name, cold.ValidatedLive, hot.ValidatedLive)
 		}
 		if cold.SkippedByBounds != hot.SkippedByBounds {
 			t.Errorf("%s: skipped differs: cold %d, warm %d", s.name, cold.SkippedByBounds, hot.SkippedByBounds)
@@ -236,11 +234,9 @@ func TestCostNilZeroAlloc(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() {
 		c.pruneIA(3)
 		c.addNIB(2, 5)
-		c.validated(1, false)
-		c.validated(1, true)
+		c.validated(1)
 		c.skip(4, 2)
 		c.AddPositionProbes(7)
-		c.SetPlanSource("none")
 		c.EnableVerdicts(10)
 		c.merge(nil)
 		_ = c.nodeCounter()

@@ -29,21 +29,22 @@ func NA(p *Problem) (*Result, error) {
 				return nil, err
 			}
 			res.Stats.Validated++
-			p.Cost.validated(j, false)
+			p.Cost.validated(j)
 			if influencedFull(p.PF, p.Tau, c, o.Positions, &res.Stats) {
 				res.Influences[j]++
 			}
 		}
 	}
 	valSp.End()
-	res.BestIndex, res.BestInfluence = argmax(res.Influences)
+	res.BestIndex, res.BestInfluence = Argmax(res.Influences)
 	p.Cost.finishExact(p, &res.Stats, res.Influences, res.BestIndex)
 	finishSolve(p.Obs, AlgNA.String(), start, &res.Stats, p.Cost)
 	return res, nil
 }
 
-// argmax returns the smallest index attaining the maximum value.
-func argmax(v []int) (idx, max int) {
+// Argmax returns the smallest index attaining the maximum value — the
+// tie-break every solver answers with.
+func Argmax(v []int) (idx, max int) {
 	idx, max = 0, v[0]
 	for i, x := range v {
 		if x > max {

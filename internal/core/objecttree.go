@@ -63,7 +63,7 @@ func PinocchioObjectTree(p *Problem) (*Result, error) {
 	// Every pair not settled by IA or validated was NIB-pruned,
 	// whether its box was stabbed or never retrieved.
 	st.PrunedByNIB = st.PairsTotal - st.PrunedByIA - st.Validated
-	res.BestIndex, res.BestInfluence = argmax(res.Influences)
+	res.BestIndex, res.BestInfluence = Argmax(res.Influences)
 	return res, nil
 }
 

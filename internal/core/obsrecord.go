@@ -28,7 +28,7 @@ const (
 	mQueryProbes    = "pinocchio_query_position_probes"
 
 	// EXPLAIN-only counters, recorded when a solve carries a Cost
-	// ledger: the per-rule prune split and validation provenance.
+	// ledger: the per-rule prune split and validated pairs.
 	mPrunedRule   = "pinocchio_pairs_pruned_rule_total"
 	mValidatedSrc = "pinocchio_pairs_validated_src_total"
 	mNodeVisits   = "pinocchio_rtree_node_visits_total"
@@ -151,10 +151,8 @@ func recordCost(r *obs.Registry, alg string, c *Cost) {
 		r.Counter(mPrunedRule, "Pairs pruned, split by rule.",
 			obs.Labels{"algo": alg, "rule": rule}).Add(n)
 	}
-	r.Counter(mValidatedSrc, "Pairs validated, split by live scan vs plan memo.",
+	r.Counter(mValidatedSrc, "Pairs validated by a live probability scan.",
 		obs.Labels{"algo": alg, "src": "live"}).Add(c.ValidatedLive)
-	r.Counter(mValidatedSrc, "Pairs validated, split by live scan vs plan memo.",
-		obs.Labels{"algo": alg, "src": "memo"}).Add(c.ValidatedMemo)
 	r.Counter(mNodeVisits, "Candidate R-tree nodes visited by prune scans.",
 		obs.Labels{"algo": alg}).Add(c.RTreeNodeVisits)
 	if c.GridCellsScanned > 0 {

@@ -74,7 +74,7 @@ func PinocchioParallel(p *Problem, workers int) (*Result, error) {
 						local.cost.pruneIA(cand)
 						local.influences[cand]++
 					},
-					func(cand int, out *valOutcome) {
+					func(cand int) {
 						if local.err != nil {
 							return
 						}
@@ -82,15 +82,9 @@ func PinocchioParallel(p *Problem, workers int) (*Result, error) {
 							return
 						}
 						lst.Validated++
-						local.cost.validated(cand, out != nil)
+						local.cost.validated(cand)
 						valTimer.Start()
-						var inf bool
-						if out != nil {
-							inf = replayEarlyStop(out, e.obj.N(), lst)
-						} else {
-							inf = influencedEarlyStop(p.PF, p.Tau, p.Candidates[cand], e.obj.Positions, lst)
-						}
-						if inf {
+						if influencedEarlyStop(p.PF, p.Tau, p.Candidates[cand], e.obj.Positions, lst) {
 							local.influences[cand]++
 						}
 						valTimer.Stop()
@@ -125,7 +119,7 @@ func PinocchioParallel(p *Problem, workers int) (*Result, error) {
 		st.Merge(r.stats)
 		p.Cost.merge(r.cost)
 	}
-	res.BestIndex, res.BestInfluence = argmax(res.Influences)
+	res.BestIndex, res.BestInfluence = Argmax(res.Influences)
 	p.Cost.finishExact(p, st, res.Influences, res.BestIndex)
 	res.Trace = p.Obs
 	finishSolve(p.Obs, "PIN-PAR", start, st, p.Cost)

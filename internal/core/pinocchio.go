@@ -97,7 +97,7 @@ func Pinocchio(p *Problem) (*Result, error) {
 				cost.pruneIA(cand)
 				res.Influences[cand]++
 			},
-			func(cand int, out *valOutcome) {
+			func(cand int) {
 				if ctxErr != nil {
 					return
 				}
@@ -105,15 +105,9 @@ func Pinocchio(p *Problem) (*Result, error) {
 					return
 				}
 				st.Validated++
-				cost.validated(cand, out != nil)
+				cost.validated(cand)
 				valTimer.Start()
-				var inf bool
-				if out != nil {
-					inf = replayFull(out, e.obj.N(), st)
-				} else {
-					inf = influencedFull(p.PF, p.Tau, p.Candidates[cand], e.obj.Positions, st)
-				}
-				if inf {
+				if influencedFull(p.PF, p.Tau, p.Candidates[cand], e.obj.Positions, st) {
 					res.Influences[cand]++
 				}
 				valTimer.Stop()
@@ -132,7 +126,7 @@ func Pinocchio(p *Problem) (*Result, error) {
 		return nil, ctxErr
 	}
 
-	res.BestIndex, res.BestInfluence = argmax(res.Influences)
+	res.BestIndex, res.BestInfluence = Argmax(res.Influences)
 	cost.finishExact(p, st, res.Influences, res.BestIndex)
 	finishSolve(p.Obs, AlgPinocchio.String(), start, st, cost)
 	return res, nil

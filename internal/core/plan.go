@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"reflect"
 	"runtime"
@@ -14,52 +15,17 @@ import (
 
 // objPrune is the memoized prune phase for one object: the candidate
 // indices the influence-arcs rule settles (ia) and the remnant set
-// needing validation (vs), both in R-tree visit order, plus the
-// validation outcome of each remnant pair (out, aligned with vs).
-// Together with the candidate count they determine every prune- and
-// validation-phase counter, so a replay produces Stats identical to a
-// live scan.
+// needing validation (vs), both in R-tree visit order. Together with
+// the candidate count they determine every prune-phase counter, so a
+// replay produces Stats identical to a live scan.
 type objPrune struct {
-	ia  []int32
-	vs  []int32
-	out []valOutcome
+	ia []int32
+	vs []int32
 	// arcs counts candidates the box scan touched but the exact
 	// Lemma 3 test rejected (the "nib-arc" rule); replays feed it to
 	// the Cost ledger so warm and cold solves report the same rule
 	// split.
 	arcs int32
-}
-
-// valOutcome memoizes one remnant pair's validation: the verdict and
-// the probe count of the early-stopping scan (Strategy 2). The pair's
-// decision depends only on (object, candidate, PF, τ) — exactly the
-// plan key — so it is as cacheable as the radius table.
-type valOutcome struct {
-	probes int32
-	inf    bool
-}
-
-// replayEarlyStop applies a memoized outcome exactly as
-// influencedEarlyStop would have: same probe count, same early-stop
-// accounting (the scan stopped before position n), same verdict.
-func replayEarlyStop(o *valOutcome, n int, st *Stats) bool {
-	st.PositionProbes += int64(o.probes)
-	if o.inf && int(o.probes) < n {
-		st.EarlyStops++
-	}
-	return o.inf
-}
-
-// replayFull applies a memoized outcome as influencedFull would have:
-// every position probed, same verdict. The verdicts of the full and
-// early-stopping scans always agree, in floating point too: both
-// multiply the same factors in the same order against the same bar,
-// and the partial products are non-increasing (every factor is in
-// [0, 1], and IEEE rounding cannot lift a product above a representable
-// upper bound), so stopping early never flips the comparison.
-func replayFull(o *valOutcome, n int, st *Stats) bool {
-	st.PositionProbes += int64(n)
-	return o.inf
 }
 
 // CandTree is the epoch-keyed half of a Plan: the candidate R-tree,
@@ -87,17 +53,15 @@ func NewCandTree(cands []geo.Point, fanout int) *CandTree {
 
 // Plan is the prebuilt, immutable solve state for one (object set,
 // candidate set, PF, τ) combination: the candidate R-tree, the A_2D
-// array of Algorithm 1, the memoized prune classification of
-// Algorithm 2's scan phase and the validation outcome of every remnant
-// pair. A Plan is safe for concurrent use by any number of solves once
-// built — nothing in it is mutated afterwards.
+// array of Algorithm 1 and the memoized prune classification of
+// Algorithm 2's scan phase. A Plan is safe for concurrent use by any
+// number of solves once built — nothing in it is mutated afterwards.
 //
 // Solvers given a Plan via Problem.Plan skip the build-a2d, build-rtree
-// and R-tree scan work and replay the memoized classification and
-// verdicts instead, producing byte-identical Results (including Stats)
-// at O(pairs-touched) instead of O(build + scan + validate). With no
-// Plan attached every solver keeps its original build-per-solve path,
-// so library callers are unchanged.
+// and R-tree scan work and replay the memoized classification instead,
+// validating the remnant pairs live and producing byte-identical
+// Results (including Stats). With no Plan attached every solver keeps
+// its original build-per-solve path, so library callers are unchanged.
 type Plan struct {
 	objects []*object.Object
 	cands   []geo.Point
@@ -138,11 +102,7 @@ func BuildPlan(p *Problem, ct *CandTree) (*Plan, error) {
 		tau:     p.Tau,
 		fanout:  p.fanout(),
 	}
-	if ct != nil && sameSlice(ct.cands, p.Candidates) && ct.fanout == pl.fanout {
-		pl.tree = ct.tree
-	} else {
-		pl.tree = p.candidateTree()
-	}
+	pl.tree = p.candidateTreeFrom(ct)
 
 	workers := runtime.GOMAXPROCS(0)
 	if len(p.Objects) < planParallelMin {
@@ -151,7 +111,7 @@ func BuildPlan(p *Problem, ct *CandTree) (*Plan, error) {
 	pl.a2d, pl.distinctN = computeA2D(p.Objects, p.PF, p.Tau, workers)
 
 	if len(p.Candidates) <= math.MaxInt32 {
-		prunes, err := computePrunes(p, pl.tree, pl.a2d, workers)
+		prunes, err := computePrunes(p.Ctx, pl.tree, pl.a2d, workers)
 		if err != nil {
 			return nil, err
 		}
@@ -200,11 +160,10 @@ func computeA2D(objects []*object.Object, pf probfn.Func, tau float64, workers i
 	return a2d, len(union)
 }
 
-// computePrunes runs Algorithm 2's scan phase once per object, records
-// the classification, and validates every remnant pair with the
-// early-stopping scan so warm solves replay the verdicts. The R-tree
-// is read-only under search, so workers share it without locking.
-func computePrunes(p *Problem, tree *rtree.Tree, a2d []a2dEntry, workers int) ([]objPrune, error) {
+// computePrunes runs Algorithm 2's scan phase once per object and
+// records the classification. The R-tree is read-only under search, so
+// workers share it without locking.
+func computePrunes(ctx context.Context, tree *rtree.Tree, a2d []a2dEntry, workers int) ([]objPrune, error) {
 	prunes := make([]objPrune, len(a2d))
 	scan := func(k int) {
 		var pr objPrune
@@ -219,19 +178,10 @@ func computePrunes(p *Problem, tree *rtree.Tree, a2d []a2dEntry, workers int) ([
 			}
 			return true
 		})
-		if len(pr.vs) > 0 {
-			pr.out = make([]valOutcome, len(pr.vs))
-			positions := a2d[k].obj.Positions
-			for i, c := range pr.vs {
-				var ls Stats
-				inf := influencedEarlyStop(p.PF, p.Tau, p.Candidates[c], positions, &ls)
-				pr.out[i] = valOutcome{probes: int32(ls.PositionProbes), inf: inf}
-			}
-		}
 		prunes[k] = pr
 	}
 	if workers <= 1 || len(a2d) < workers {
-		cc := canceller{ctx: p.Ctx}
+		cc := canceller{ctx: ctx}
 		for k := range a2d {
 			if err := cc.tick(); err != nil {
 				return nil, err
@@ -246,7 +196,7 @@ func computePrunes(p *Problem, tree *rtree.Tree, a2d []a2dEntry, workers int) ([
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			cc := canceller{ctx: p.Ctx}
+			cc := canceller{ctx: ctx}
 			for k := w; k < len(a2d); k += workers {
 				if errs[w] = cc.tick(); errs[w] != nil {
 					return
@@ -319,23 +269,21 @@ func (p *Problem) solveState(st *Stats) (a2d []a2dEntry, tree *rtree.Tree, prune
 }
 
 // scanObject dispatches one object's prune phase: a replay of the
-// memoized classification when the plan carries one (handing each
-// remnant pair its memoized validation outcome), a live R-tree scan
-// otherwise (out is nil — the pair must be validated live). The return
-// values and callback order match pruneObject, so counters derived
-// from them are identical either way. nodes, when non-nil, accumulates
-// R-tree node visits on the live path (replays do no tree work and
-// leave it untouched).
-func scanObject(tree *rtree.Tree, prunes []objPrune, k int, e a2dEntry, nodes *int64, influenced func(cand int), validate func(cand int, out *valOutcome)) (touched, iaHits, arcs int64) {
+// memoized classification when the plan carries one, a live R-tree
+// scan otherwise. The return values and callback order match
+// pruneObject, so counters derived from them are identical either way.
+// nodes, when non-nil, accumulates R-tree node visits on the live path
+// (replays do no tree work and leave it untouched).
+func scanObject(tree *rtree.Tree, prunes []objPrune, k int, e a2dEntry, nodes *int64, influenced func(cand int), validate func(cand int)) (touched, iaHits, arcs int64) {
 	if prunes != nil {
 		pr := prunes[k]
 		for _, c := range pr.ia {
 			influenced(int(c))
 		}
-		for i, c := range pr.vs {
-			validate(int(c), &pr.out[i])
+		for _, c := range pr.vs {
+			validate(int(c))
 		}
 		return int64(len(pr.ia) + len(pr.vs)), int64(len(pr.ia)), int64(pr.arcs)
 	}
-	return pruneObject(tree, e, nodes, influenced, func(c int) { validate(c, nil) })
+	return pruneObject(tree, e, nodes, influenced, validate)
 }

@@ -62,7 +62,7 @@ type Problem struct {
 	Ctx context.Context
 
 	// Cost, when non-nil, receives the solve's EXPLAIN accounting:
-	// per-rule prune counts, live-vs-memoized validation, index node
+	// per-rule prune counts, validated pairs, index node
 	// visits and (after EnableVerdicts) a per-candidate verdict table.
 	// Nil disables accounting; every Cost method is nil-safe and the
 	// disabled path allocates nothing.
@@ -127,10 +127,8 @@ func (p *Problem) candidateTree() *rtree.Tree {
 // Result reports the outcome of a PRIME-LS computation.
 type Result struct {
 	// BestIndex is the index into Problem.Candidates of the selected
-	// optimal location. Among equally influential candidates the
-	// smallest index is returned by the exact algorithms (NA,
-	// PINOCCHIO); PINOCCHIO-VO guarantees the same influence value but
-	// may return a different equally optimal candidate.
+	// optimal location. Among equally influential candidates every
+	// solver in this package returns the smallest index.
 	BestIndex int
 
 	// BestInfluence is inf(BestIndex), the number of moving objects

@@ -137,7 +137,7 @@ func SolveSharded(p *Problem, parts []*Problem, solve ShardSolve) (*Result, erro
 		st.DistinctN = len(seen)
 	}
 
-	res.BestIndex, res.BestInfluence = argmax(res.Influences)
+	res.BestIndex, res.BestInfluence = Argmax(res.Influences)
 	p.Cost.finishExact(p, st, res.Influences, res.BestIndex)
 	res.Trace = p.Obs
 	res.ShardDurations = make([]time.Duration, len(parts))

@@ -88,7 +88,7 @@ func TestSolveShardedParity(t *testing.T) {
 				gc, wc := p.Cost, ref.Cost
 				if gc.PairsTotal != wc.PairsTotal || gc.PrunedIA != wc.PrunedIA ||
 					gc.PrunedNIBBox != wc.PrunedNIBBox || gc.PrunedNIBArc != wc.PrunedNIBArc ||
-					gc.ValidatedLive != wc.ValidatedLive || gc.ValidatedMemo != wc.ValidatedMemo ||
+					gc.ValidatedLive != wc.ValidatedLive ||
 					gc.SkippedByBounds != wc.SkippedByBounds || gc.PositionProbes != wc.PositionProbes {
 					t.Fatalf("trial %d %s shards=%d: cost %v, want %v", trial, sv.name, n, gc, wc)
 				}

@@ -9,6 +9,22 @@ type Ranked struct {
 	Influence int
 }
 
+// Rank orders candidates by influence descending, ties by ascending
+// index — the ranking every exact solver and the top-t solver agree on.
+func Rank(influences []int) []Ranked {
+	ranked := make([]Ranked, len(influences))
+	for i, inf := range influences {
+		ranked[i] = Ranked{Index: i, Influence: inf}
+	}
+	sort.SliceStable(ranked, func(a, b int) bool {
+		if ranked[a].Influence != ranked[b].Influence {
+			return ranked[a].Influence > ranked[b].Influence
+		}
+		return ranked[a].Index < ranked[b].Index
+	})
+	return ranked
+}
+
 // RankAll computes the exact influence of every candidate with the
 // PINOCCHIO pruning machinery and returns candidates sorted by
 // influence descending, ties broken by ascending index for
@@ -18,17 +34,7 @@ func RankAll(p *Problem) ([]Ranked, error) {
 	if err != nil {
 		return nil, err
 	}
-	ranked := make([]Ranked, len(res.Influences))
-	for i, inf := range res.Influences {
-		ranked[i] = Ranked{Index: i, Influence: inf}
-	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		if ranked[a].Influence != ranked[b].Influence {
-			return ranked[a].Influence > ranked[b].Influence
-		}
-		return ranked[a].Index < ranked[b].Index
-	})
-	return ranked, nil
+	return Rank(res.Influences), nil
 }
 
 // TopK returns the indices of the k most influential candidates (all

@@ -43,7 +43,6 @@ func PinocchioVOTopT(p *Problem, t int) ([]Ranked, *Stats, error) {
 		minInf: make([]int, m),
 		maxInf: make([]int, m),
 		vs:     make([][]int, m),
-		out:    make([][]*valOutcome, m),
 	}
 	pruneSp := p.Obs.Child("prune")
 	cc := canceller{ctx: p.Ctx}
@@ -58,9 +57,8 @@ func PinocchioVOTopT(p *Problem, t int) ([]Ranked, *Stats, error) {
 				s.cost.pruneIA(cand)
 				s.minInf[cand]++
 			},
-			func(cand int, out *valOutcome) {
+			func(cand int) {
 				s.vs[cand] = append(s.vs[cand], k)
-				s.out[cand] = append(s.out[cand], out)
 			})
 		st.PrunedByIA += ia
 		st.PrunedByNIB += int64(m) - touched
@@ -133,7 +131,7 @@ func (s *voState) runTopT(st *Stats, t int) ([]Ranked, error) {
 				return nil, err
 			}
 			st.Validated++
-			if s.validatePair(top, vi, ok, st) {
+			if s.validatePair(top, ok, st) {
 				s.minInf[top]++
 			} else {
 				s.maxInf[top]--

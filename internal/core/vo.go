@@ -43,24 +43,13 @@ type voState struct {
 	minInf []int   // identified influence (lower bound)
 	maxInf []int   // possible influence (upper bound)
 	vs     [][]int // verification set: object indices per candidate
-	// out mirrors vs with the plan's memoized validation outcome per
-	// pair; nil entries (and a nil out, as in VO*) validate live.
-	out [][]*valOutcome
 }
 
-// validatePair decides the remnant pair (candidate top, vs index vi),
-// replaying the plan's memoized verdict when the prune phase collected
-// one and running the early-stopping scan otherwise.
-func (s *voState) validatePair(top, vi, ok int, st *Stats) bool {
-	obj := s.p.Objects[ok]
-	if s.out != nil {
-		if o := s.out[top][vi]; o != nil {
-			s.cost.validated(top, true)
-			return replayEarlyStop(o, obj.N(), st)
-		}
-	}
-	s.cost.validated(top, false)
-	return influencedEarlyStop(s.p.PF, s.p.Tau, s.p.Candidates[top], obj.Positions, st)
+// validatePair decides the remnant pair (candidate top, object ok) with
+// the early-stopping scan.
+func (s *voState) validatePair(top, ok int, st *Stats) bool {
+	s.cost.validated(top)
+	return influencedEarlyStop(s.p.PF, s.p.Tau, s.p.Candidates[top], s.p.Objects[ok].Positions, st)
 }
 
 // runValidation executes lines 13-29 of Algorithm 3 and returns the
@@ -109,7 +98,7 @@ func (s *voState) runValidation(st *Stats) (bestIdx, bestVal int, err error) {
 				return 0, 0, err
 			}
 			st.Validated++
-			if s.validatePair(top, vi, ok, st) {
+			if s.validatePair(top, ok, st) {
 				s.minInf[top]++
 			} else {
 				s.maxInf[top]--
@@ -122,7 +111,11 @@ func (s *voState) runValidation(st *Stats) (bestIdx, bestVal int, err error) {
 				}
 			}
 		}
-		if s.minInf[top] > bestVal {
+		// Ties go to the smallest index, as in NA and PIN. A candidate
+		// whose exact influence equals the optimum is never cut short by
+		// the strict Strategy 1 test, so every tied candidate reaches
+		// here fully validated, and minInf == bestVal implies exactness.
+		if s.minInf[top] > bestVal || (s.minInf[top] == bestVal && top < bestIdx) {
 			bestIdx, bestVal = top, s.minInf[top]
 		}
 		if s.minInf[top] > maxminInf {
@@ -159,7 +152,6 @@ func PinocchioVO(p *Problem) (*Result, error) {
 		minInf: make([]int, m),
 		maxInf: make([]int, m),
 		vs:     make([][]int, m),
-		out:    make([][]*valOutcome, m),
 	}
 	// Unlike Algorithm 2 the VO prune loop defers all validation, so
 	// the prune span is pure pruning time.
@@ -176,9 +168,8 @@ func PinocchioVO(p *Problem) (*Result, error) {
 				s.cost.pruneIA(cand)
 				s.minInf[cand]++
 			},
-			func(cand int, out *valOutcome) {
+			func(cand int) {
 				s.vs[cand] = append(s.vs[cand], k)
-				s.out[cand] = append(s.out[cand], out)
 			})
 		st.PrunedByIA += ia
 		st.PrunedByNIB += int64(m) - touched

@@ -31,10 +31,10 @@ type BenchServed struct {
 }
 
 // benchServed times POST /v1/query end-to-end against in-process
-// servers over the bench population: one with plan caching disabled
-// (the build-per-solve baseline) and one with the solve-plan cache on.
-// Uncached rows bypass the result cache with no_cache; warm-plan rows
-// additionally run one warm-up solve so the plan is resident; the
+// servers over the bench population: one with the influence indexes
+// disabled (the live-solve baseline) and one with them on. Uncached
+// rows bypass the result cache with no_cache; warm-plan rows
+// additionally run one warm-up query so the index is resident; the
 // result-cached row times a repeat hit.
 func benchServed(objs []*object.Object, cands []geo.Point, tau float64, iters int) ([]BenchServed, error) {
 	// Telemetry is off (no trace retention, no slow-query log) on the

@@ -83,7 +83,7 @@ func RunPruneAccounting(objs []*object.Object, cands []geo.Point, taus []float64
 func PruneAccountingTable(rows []BenchPrune) *Table {
 	t := &Table{
 		Title:  "EXPLAIN accounting: pairs resolved per rule",
-		Header: []string{"algo", "tau", "ia", "nib-box", "nib-arc", "validated", "memo", "skipped", "pruned"},
+		Header: []string{"algo", "tau", "ia", "nib-box", "nib-arc", "validated", "skipped", "pruned"},
 	}
 	for _, r := range rows {
 		total := float64(r.Cost.PairsTotal)
@@ -93,7 +93,7 @@ func PruneAccountingTable(rows []BenchPrune) *Table {
 		frac := func(n int64) string { return pct(float64(n) / total) }
 		t.AddRow(r.Algorithm, f2(r.Tau),
 			frac(r.Cost.PrunedIA), frac(r.Cost.PrunedNIBBox), frac(r.Cost.PrunedNIBArc),
-			frac(r.Cost.ValidatedLive), frac(r.Cost.ValidatedMemo), frac(r.Cost.SkippedByBounds),
+			frac(r.Cost.ValidatedLive), frac(r.Cost.SkippedByBounds),
 			pct(r.PruneRatio))
 	}
 	return t

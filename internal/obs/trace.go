@@ -146,6 +146,10 @@ type WindowSampler struct {
 	sum      time.Duration
 	overhead time.Duration
 	start    time.Time
+	// first is when the first window opened: the scaled estimate is
+	// capped at the time since, so it never exceeds the loop's own wall
+	// time (a few slow sampled windows scaled up could otherwise).
+	first time.Time
 }
 
 // timerOverheadNS caches the measured cost of an empty timer window —
@@ -187,6 +191,9 @@ func (s *Span) Sampler(logEvery uint) *WindowSampler {
 func (w *WindowSampler) Start() {
 	if w != nil && w.count&w.mask == 0 {
 		w.start = time.Now()
+		if w.count == 0 {
+			w.first = w.start
+		}
 	}
 }
 
@@ -206,13 +213,18 @@ func (w *WindowSampler) Stop() {
 }
 
 // Finish accumulates the loop's estimated duration — mean sampled
-// window × total windows — into the span and resets the sampler for
-// reuse. Call it once after the loop, before the span's End.
+// window × total windows, at most the wall time since the first window
+// opened — into the span and resets the sampler for reuse. Call it
+// once after the loop, before the span's End.
 func (w *WindowSampler) Finish() {
 	if w == nil || w.samples == 0 {
 		return
 	}
-	w.sp.Accumulate(w.sum * time.Duration(w.count) / time.Duration(w.samples))
+	est := w.sum * time.Duration(w.count) / time.Duration(w.samples)
+	if ran := time.Since(w.first); est > ran {
+		est = ran
+	}
+	w.sp.Accumulate(est)
 	w.count, w.samples, w.sum = 0, 0, 0
 }
 

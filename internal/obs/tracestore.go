@@ -30,7 +30,7 @@ const (
 
 // Trace is the retained telemetry of one finished request: identity,
 // timing, outcome, the solver's span tree, and the serving-layer
-// annotations (epoch, plan-cache outcome, WAL sequence) that join it
+// annotations (epoch, index-cache outcome, WAL sequence) that join it
 // to the rest of the system's state. Traces must not be mutated after
 // TraceStore.Add — the store hands the same pointer to every reader.
 type Trace struct {
@@ -87,7 +87,7 @@ func (t *Trace) SetEpoch(epoch int64) {
 	}
 }
 
-// SetPlanCache records the solve-plan cache outcome (nil-safe).
+// SetPlanCache records the influence-index cache outcome (nil-safe).
 func (t *Trace) SetPlanCache(outcome string) {
 	if t != nil {
 		t.PlanCache = outcome

@@ -15,25 +15,30 @@ import (
 // sumAccounted mirrors core.Cost.AccountedPairs on the wire shape.
 func sumAccounted(e *ExplainJSON) int64 {
 	return e.PrunedIA + e.PrunedNIBBox + e.PrunedNIBArc +
-		e.ValidatedLive + e.ValidatedMemo + e.SkippedByBounds
+		e.ValidatedLive + e.SkippedByBounds
 }
 
 // TestQueryExplain checks the explain block for every algorithm: the
 // per-rule counts partition the pair total, the verdict table covers
-// every candidate, and the answer matches the explain-off solve.
+// every candidate, and the answer matches the explain-off solve — both
+// the one served here (from the influence index for pin, pin-vo and
+// pin-par) and a live server's, whose Stats explain reproduces, since
+// explain runs the solver live.
 func TestQueryExplain(t *testing.T) {
 	s := newTestServer(t, Config{CacheSize: -1})
+	live := newTestServer(t, Config{CacheSize: -1, PlanCacheSize: -1})
 	const nCand = 25
 
 	for _, algo := range []string{"na", "pin", "pin-vo", "pin-vo*", "pin-par"} {
 		t.Run(algo, func(t *testing.T) {
-			var plain, explained QueryResponse
+			var served, plain, explained QueryResponse
 			body := fmt.Sprintf(`{"tau":0.5,"algorithm":%q}`, algo)
-			do(t, s, "POST", "/v1/query", body, &plain)
+			do(t, s, "POST", "/v1/query", body, &served)
+			do(t, live, "POST", "/v1/query", body, &plain)
 			ebody := fmt.Sprintf(`{"tau":0.5,"algorithm":%q,"explain":true}`, algo)
 			do(t, s, "POST", "/v1/query", ebody, &explained)
 
-			if plain.Explain != nil {
+			if plain.Explain != nil || served.Explain != nil {
 				t.Fatalf("explain-off response carries an explain block")
 			}
 			e := explained.Explain
@@ -43,6 +48,9 @@ func TestQueryExplain(t *testing.T) {
 			if explained.Best != plain.Best || explained.Stats != plain.Stats {
 				t.Errorf("explain changed the answer:\noff: %+v %v\non:  %+v %v",
 					plain.Best, plain.Stats, explained.Best, explained.Stats)
+			}
+			if served.Best != plain.Best {
+				t.Errorf("served answer %+v, live %+v", served.Best, plain.Best)
 			}
 			if e.PairsTotal != explained.Stats.PairsTotal {
 				t.Errorf("explain pairs %d != stats pairs %d", e.PairsTotal, explained.Stats.PairsTotal)
@@ -125,33 +133,34 @@ func TestQueryExplainResultCache(t *testing.T) {
 	}
 }
 
-// TestQueryExplainPlanSource: with the result cache off and the plan
-// cache on, the first solve builds its plan and the second replays it.
+// TestQueryExplainPlanSource: with the result cache off and the index
+// cache on, explain still runs the named solver live — every time, and
+// unaffected by an index the plain query built in between.
 func TestQueryExplainPlanSource(t *testing.T) {
 	s := newTestServer(t, Config{CacheSize: -1, PlanCacheSize: 8})
 	const body = `{"tau":0.5,"algorithm":"pin-vo","explain":true}`
 
 	var first, second QueryResponse
 	do(t, s, "POST", "/v1/query", body, &first)
+	do(t, s, "POST", "/v1/query", `{"tau":0.5,"algorithm":"pin-vo"}`, nil)
 	do(t, s, "POST", "/v1/query", body, &second)
 
-	if first.Explain.PlanSource != "built" {
-		t.Errorf("first: plan source %q, want \"built\"", first.Explain.PlanSource)
+	for name, r := range map[string]*QueryResponse{"first": &first, "second": &second} {
+		if r.Explain.PlanSource != "none" {
+			t.Errorf("%s: plan source %q, want \"none\" (live solve)", name, r.Explain.PlanSource)
+		}
+		if r.Explain.RTreeNodeVisits == 0 {
+			t.Errorf("%s: live solve reports no node visits", name)
+		}
 	}
-	if second.Explain.PlanSource != "cached" {
-		t.Errorf("second: plan source %q, want \"cached\"", second.Explain.PlanSource)
-	}
-	// Plan replay must not change the accounting partition.
-	if !reflect.DeepEqual(first.Explain.Verdicts, second.Explain.Verdicts) {
-		t.Errorf("verdict tables differ across plan replay")
-	}
-	if second.Explain.RTreeNodeVisits != 0 {
-		t.Errorf("warm solve reports %d node visits, want 0", second.Explain.RTreeNodeVisits)
+	if !reflect.DeepEqual(first.Explain, second.Explain) || first.Stats != second.Stats {
+		t.Errorf("repeated live explain differs:\nfirst:  %+v\nsecond: %+v", first.Explain, second.Explain)
 	}
 }
 
 // benchServer builds a Server for the explain benchmarks: result cache
-// off (so every request solves), plan cache on (so solves are warm).
+// off (so every request solves), index cache on (so plain queries are
+// index lookups).
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -182,7 +191,7 @@ func benchServer(b *testing.B) *Server {
 func benchServed(b *testing.B, s *Server, body string) {
 	b.Helper()
 	payload := []byte(body)
-	// One warm-up request populates the plan cache.
+	// One warm-up request populates the index cache.
 	req := httptest.NewRequest("POST", "/v1/query", bytes.NewReader(payload))
 	rec := httptest.NewRecorder()
 	s.ServeHTTP(rec, req)
@@ -202,9 +211,9 @@ func benchServed(b *testing.B, s *Server, body string) {
 }
 
 // BenchmarkServedQueryNoExplain is the allocation guard for the warm
-// served-query path with accounting disabled: compare its allocs/op
-// against BenchmarkServedQueryExplain to see what the explain layer
-// adds — the disabled path itself must not pay for it.
+// served-query path with accounting disabled (an index lookup): compare
+// its allocs/op against BenchmarkServedQueryExplain, which runs the
+// solver live with full accounting.
 func BenchmarkServedQueryNoExplain(b *testing.B) {
 	benchServed(b, benchServer(b), `{"tau":0.5,"algorithm":"pin-vo"}`)
 }

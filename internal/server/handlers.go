@@ -8,7 +8,6 @@ import (
 	"math"
 	"net/http"
 	"runtime"
-	"sort"
 	"strconv"
 	"time"
 
@@ -259,7 +258,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 	var objects, candidates int
 	var stats dynamic.Stats
-	planEntries := s.plans.len()
+	planEntries, planBytes := s.indexes.stats()
 	shardEpochs := make([]int64, len(s.shards))
 	shardObjects := make([]int, len(s.shards))
 	shardScatter := make([]map[string]any, len(s.shards))
@@ -273,7 +272,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		}
 		stats.Add(sh.engine.Stats())
 		sh.mu.RUnlock()
-		planEntries += sh.plans.len()
 		// Straggler attribution: which shard's sub-solves dominate the
 		// scatter path, cumulative since boot.
 		const ms = float64(time.Millisecond)
@@ -301,6 +299,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		"engine_stats":   stats,
 		"cache_entries":  s.cache.len(),
 		"plan_entries":   planEntries,
+		"plan_bytes":     planBytes,
 		"max_inflight":   s.cfg.MaxInflight,
 		"uptime_seconds": time.Since(s.start).Seconds(),
 		"durable":        len(s.cfg.Stores) > 0,
@@ -566,92 +565,15 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, resp)
 }
 
-// usesPlan reports whether algo's solver consumes a prebuilt
-// core.Plan. NA and pin-vo* run no pruning phase, so building (or even
-// looking up) a plan for them is pure waste.
-func usesPlan(algo string) bool {
-	switch algo {
-	case "pin", "pin-vo", "pin-par":
-		return true
-	}
-	return false
-}
-
-// planFor returns the solve plan for this snapshot and query
-// parameters, building and caching it on a miss. The plan key embeds
-// the epoch, so a mutation implicitly invalidates every older plan;
-// the candidate R-tree half is shared across (PF, τ) keys via the
-// snapshot. Returns nil (solve cold) when plan caching is disabled.
-// The hit/miss outcome lands on the request's trace and is returned as
-// the EXPLAIN provenance ("cached"/"built", "" when disabled); a
-// miss's build phases attach to sp.
-func (s *Server) planFor(ctx context.Context, sn *snapshot, req *QueryRequest, pf probfn.Func, sp *obs.Span) (*core.Plan, string, error) {
-	if s.cfg.PlanCacheSize <= 0 {
-		return nil, "", nil
-	}
-	tr := traceFrom(ctx)
-	key := planKey{ekey: sn.ekey, pf: req.PF, rho: req.Rho, lambda: req.Lambda, tau: req.Tau}
-	if pl, ok := s.plans.get(key); ok {
-		recordPlanCache(true)
-		tr.SetPlanCache("hit")
-		return pl, "cached", nil
-	}
-	recordPlanCache(false)
-	tr.SetPlanCache("miss")
-	start := time.Now()
-	pl, err := core.BuildPlan(&core.Problem{
-		Objects:    sn.objects,
-		Candidates: sn.candPts,
-		PF:         pf,
-		Tau:        req.Tau,
-		Ctx:        ctx,
-		Obs:        sp,
-	}, sn.candTree())
-	if err != nil {
-		return nil, "", err
-	}
-	recordPlanBuild(time.Since(start))
-	s.plans.put(key, pl)
-	return pl, "built", nil
-}
-
 // solveQuery runs the selected solver over the snapshot and shapes the
-// response. Indices into the snapshot's candidate slice are translated
+// response. pin, pin-vo, pin-par and top-k queries are answered from
+// the per-shard influence indexes; EXPLAIN requests, NA and PIN-VO*
+// (and every query when the index cache is disabled) run the solver
+// live. Indices into the snapshot's candidate slice are translated
 // back to engine candidate ids.
 func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest, pf probfn.Func) (*QueryResponse, error) {
 	tr := traceFrom(ctx)
 	root := tr.StartSpan("query")
-	p := &core.Problem{
-		Objects:    sn.objects,
-		Candidates: sn.candPts,
-		PF:         pf,
-		Tau:        req.Tau,
-		Ctx:        ctx,
-		Obs:        root,
-		TraceID:    obs.TraceIDFrom(ctx),
-	}
-	if req.Explain {
-		// Only explain'd requests carry a ledger: the served path with
-		// explain off must stay allocation-free for the accounting
-		// layer. This request is solving, so its result-cache verdict
-		// is "miss"; a later cache hit re-stamps the clone.
-		p.Cost = &core.Cost{ResultCache: "miss"}
-		p.Cost.EnableVerdicts(len(sn.candPts))
-	}
-	// Full-vector solvers scatter across the shards and merge; the
-	// parent problem stays plan-free (per-shard plans attach to the
-	// parts). Everything else solves the combined snapshot directly.
-	scatter := s.scatters(req.Algorithm)
-	if usesPlan(req.Algorithm) && !scatter {
-		pl, src, err := s.planFor(ctx, sn, req, pf, root)
-		if err != nil {
-			return nil, err
-		}
-		p.Plan = pl
-		if src != "" {
-			p.Cost.SetPlanSource(src)
-		}
-	}
 	resp := &QueryResponse{
 		Algorithm:  req.Algorithm,
 		PF:         pf.Name(),
@@ -659,7 +581,7 @@ func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest
 		Objects:    len(sn.objects),
 		Candidates: len(sn.candPts),
 		Epoch:      sn.epoch,
-		TraceID:    p.TraceID,
+		TraceID:    obs.TraceIDFrom(ctx),
 	}
 	mk := func(idx, inf int) CandidateJSON {
 		return CandidateJSON{
@@ -668,6 +590,43 @@ func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest
 			Y:         sn.candPts[idx].Y,
 			Influence: inf,
 		}
+	}
+	topK := func(influences []int) {
+		k := min(req.K, len(influences))
+		for _, rk := range core.Rank(influences)[:k] {
+			resp.TopK = append(resp.TopK, mk(rk.Index, rk.Influence))
+		}
+	}
+
+	if s.indexServes(req.Algorithm, req.Explain) {
+		inf, st, err := s.indexInfluences(ctx, sn, pfKey(req.PF, req.Rho, req.Lambda), pf, req.Tau, root)
+		if err != nil {
+			return nil, err
+		}
+		resp.Stats = st
+		resp.Best = mk(core.Argmax(inf))
+		if req.K > 1 {
+			topK(inf)
+		}
+		return resp, nil
+	}
+
+	p := &core.Problem{
+		Objects:    sn.objects,
+		Candidates: sn.candPts,
+		PF:         pf,
+		Tau:        req.Tau,
+		Ctx:        ctx,
+		Obs:        root,
+		TraceID:    resp.TraceID,
+	}
+	if req.Explain {
+		// Only explain'd requests carry a ledger: the served path with
+		// explain off must stay allocation-free for the accounting
+		// layer. This request is solving, so its result-cache verdict
+		// is "miss"; a later cache hit re-stamps the clone.
+		p.Cost = &core.Cost{ResultCache: "miss"}
+		p.Cost.EnableVerdicts(len(sn.candPts))
 	}
 
 	// Top-k with the VO machinery keeps the bound-ordered early exit;
@@ -688,16 +647,7 @@ func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest
 		return resp, nil
 	}
 
-	var res *core.Result
-	var err error
-	switch {
-	case scatter:
-		res, err = s.solveScattered(ctx, sn, req, pf, p)
-	case req.Algorithm == "pin-par":
-		res, err = core.PinocchioParallel(p, req.Workers)
-	default:
-		res, err = core.Solve(algorithms[req.Algorithm], p)
-	}
+	res, err := s.solveLive(sn, req.Algorithm, req.Workers, p)
 	if err != nil {
 		return nil, err
 	}
@@ -707,23 +657,7 @@ func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest
 		if res.Influences == nil {
 			return nil, fmt.Errorf("server: %s computed no influence vector", req.Algorithm)
 		}
-		ranked := make([]core.Ranked, len(res.Influences))
-		for i, inf := range res.Influences {
-			ranked[i] = core.Ranked{Index: i, Influence: inf}
-		}
-		sort.SliceStable(ranked, func(a, b int) bool {
-			if ranked[a].Influence != ranked[b].Influence {
-				return ranked[a].Influence > ranked[b].Influence
-			}
-			return ranked[a].Index < ranked[b].Index
-		})
-		k := req.K
-		if k > len(ranked) {
-			k = len(ranked)
-		}
-		for _, rk := range ranked[:k] {
-			resp.TopK = append(resp.TopK, mk(rk.Index, rk.Influence))
-		}
+		topK(res.Influences)
 	}
 	resp.Explain = explainJSON(p.Cost)
 	return resp, nil

@@ -68,24 +68,25 @@ func recordCache(hit bool) {
 	}
 }
 
-// recordPlanCache counts one solve-plan cache lookup outcome.
+// recordPlanCache counts one per-shard influence-index lookup: a hit
+// when no build ran for it, a miss when it built or widened the index.
 func recordPlanCache(hit bool) {
 	if !obs.Enabled() {
 		return
 	}
 	if hit {
-		obs.Default().Counter(mPlanHits, "Solve-plan cache hits.", nil).Inc()
+		obs.Default().Counter(mPlanHits, "Influence-index lookups served without a build.", nil).Inc()
 	} else {
-		obs.Default().Counter(mPlanMisses, "Solve-plan cache misses.", nil).Inc()
+		obs.Default().Counter(mPlanMisses, "Influence-index lookups that built or widened an index.", nil).Inc()
 	}
 }
 
-// recordPlanBuild tracks cold solve-plan construction latency.
+// recordPlanBuild tracks influence-index build latency.
 func recordPlanBuild(dur time.Duration) {
 	if !obs.Enabled() {
 		return
 	}
-	obs.Default().Histogram(mPlanBuild, "Cold solve-plan build wall time in seconds.",
+	obs.Default().Histogram(mPlanBuild, "Influence-index build wall time in seconds.",
 		obs.DefBuckets, nil).Observe(dur.Seconds())
 }
 

@@ -3,6 +3,8 @@ package server
 import (
 	"fmt"
 	"net/http"
+	"net/http/httptest"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -116,5 +118,76 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	if best.Best.Influence != resp.Best.Influence {
 		t.Fatalf("engine best influence %d != solved best influence %d",
 			best.Best.Influence, resp.Best.Influence)
+	}
+}
+
+// TestServeStressNo500 is the snapshot/index race detector: on a
+// sharded server, concurrent queries of every algorithm (top-1 and
+// top-k, several PFs and τ values, with and without explain), position
+// appends, ingest batches and one standing subscription all go through
+// ServeHTTP at once. No request may fail with a 500, and once the
+// writers stop, an index-served answer equals the live solve.
+func TestServeStressNo500(t *testing.T) {
+	objs, cands := testPopulation(t, 60, 25)
+	s, err := New(Config{Shards: 3, MaxInflight: 64}, objs, cands)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec := do(t, s, "POST", "/v1/subscribe", `{"tau":0.6,"k":3}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+	}
+	check := func(what string, rec *httptest.ResponseRecorder) {
+		if rec.Code >= 500 {
+			t.Errorf("%s: HTTP %d: %s", what, rec.Code, rec.Body.String())
+		}
+	}
+
+	const iters = 40
+	var wg sync.WaitGroup
+	algos := []string{"na", "pin", "pin-vo", "pin-vo*", "pin-par"}
+	pfs := []string{``, `"pf":"linear","rho":0.9,"lambda":6,`, `"pf":"powerlaw","rho":0.5,"lambda":1.25,`}
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				alg := algos[(g+i)%len(algos)]
+				k := 0
+				if i%3 == 0 && alg != "pin-vo*" {
+					k = 3
+				}
+				body := fmt.Sprintf(`{"algorithm":%q,%s"tau":%g,"k":%d,"no_cache":%v,"explain":%v}`,
+					alg, pfs[(g+2*i)%len(pfs)], 0.2+0.1*float64((g+i)%7), k, i%2 == 0, i%5 == 0)
+				check("query "+body, do(t, s, "POST", "/v1/query", body, nil))
+			}
+		}(g)
+	}
+	for g := 0; g < 2; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < iters; i++ {
+				id := (g*iters + i) % len(objs)
+				check("append", do(t, s, "POST", fmt.Sprintf("/v1/objects/%d/positions", id),
+					fmt.Sprintf(`{"x":%d,"y":%d}`, i%8, (i+g)%8), nil))
+				check("ingest", do(t, s, "POST", "/v1/ingest", fmt.Sprintf(
+					`{"appends":[{"id":%d,"positions":[{"x":1,"y":%d}]},{"id":%d,"positions":[{"x":%d,"y":2}]}]}`,
+					(id+1)%len(objs), i%8, (id+7)%len(objs), (i+3)%8), nil))
+			}
+		}(g)
+	}
+	wg.Wait()
+	s.DrainSubscriptions()
+
+	for _, body := range []string{
+		`{"algorithm":"pin-vo","tau":0.45,"k":4,"no_cache":true}`,
+		`{"algorithm":"pin","pf":"linear","rho":0.9,"lambda":6,"tau":0.3,"no_cache":true}`,
+	} {
+		var served, live QueryResponse
+		do(t, s, "POST", "/v1/query", body, &served)
+		do(t, s, "POST", "/v1/query", body[:len(body)-1]+`,"explain":true}`, &live)
+		if served.Best != live.Best || !reflect.DeepEqual(served.TopK, live.TopK) {
+			t.Errorf("%s: indexed answer %+v %+v, live %+v %+v", body, served.Best, served.TopK, live.Best, live.TopK)
+		}
 	}
 }

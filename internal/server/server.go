@@ -17,17 +17,18 @@
 //
 // Concurrency model (shard-per-core, DESIGN.md §13): the object
 // population is partitioned across Config.Shards shards, each owning
-// its own engine, epoch, plan cache and (when durable) WAL stream.
+// its own engine, epoch, snapshot and (when durable) WAL stream.
 // Object mutations lock exactly one shard — writers on different
 // shards run concurrently — while candidate mutations lock all shards
 // under the topology lock. Queries snapshot the per-shard populations
-// and solve outside any lock on immutable data; full-vector solvers
-// scatter one sub-problem per shard and merge the influence vectors
-// exactly (influence is additive over objects). Every mutation bumps
-// its shard's epoch; snapshots, cached results and plans are keyed by
-// the epoch vector, so a mutation invalidates them without blocking
-// in-flight queries. Shards = 1 (the Config default) degenerates to
-// the classic single-writer/many-reader engine.
+// and solve outside any lock on immutable data: per-shard influence
+// indexes (or live per-shard solves) sum exactly, since influence is
+// additive over objects. Every mutation bumps its shard's epoch; a
+// shard's next snapshot replaces the old one together with the
+// indexes it owned, and cached results are keyed by the epoch vector,
+// so a mutation invalidates them without blocking in-flight queries.
+// Shards = 1 (the Config default) degenerates to the classic
+// single-writer/many-reader engine.
 //
 // Overload behavior: at most MaxInflight queries run concurrently;
 // excess requests are shed immediately with 429. Per-request deadlines
@@ -70,7 +71,7 @@ type Config struct {
 
 	// Shards is the number of engine shards the object population is
 	// partitioned across (dynamic.ShardOf routes object ids). Each
-	// shard owns its own engine, epoch, plan cache and WAL stream, so
+	// shard owns its own engine, epoch, snapshot and WAL stream, so
 	// mutations on different shards apply concurrently and full-vector
 	// queries scatter-gather across them. Defaults to 1 — the classic
 	// single-engine server; cmd/pinocchiod defaults its -shards flag to
@@ -87,11 +88,12 @@ type Config struct {
 	// negative disables caching).
 	CacheSize int
 
-	// PlanCacheSize is the solve-plan cache capacity in entries
-	// (default 32; negative disables plan caching). A plan carries the
-	// candidate R-tree and the memoized A2D radius table for one
-	// (epoch, PF, ρ, λ, τ) combination, so repeat queries skip the
-	// per-solve derived-state rebuild entirely.
+	// PlanCacheSize bounds how many influence indexes are held
+	// (default 32; negative disables them, and every query then runs
+	// its solver live). An index answers every τ of an interval for
+	// one (shard snapshot, PF, ρ, λ), so pin, pin-vo, pin-par and top-k
+	// queries and subscription re-solves at any τ reduce to per-shard
+	// lookups; a τ outside the interval widens it with one rebuild.
 	PlanCacheSize int
 
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
@@ -221,8 +223,8 @@ func (c Config) withDefaults() Config {
 type snapshot struct {
 	// epoch is the global epoch (Σ per-shard epochs): the wire-visible
 	// version number. ekey is the per-shard epoch VECTOR ("e0.e1…"),
-	// the cache key — two different populations can share a sum but
-	// never a vector.
+	// the result-cache key — two different populations can share a sum
+	// but never a vector.
 	epoch   int64
 	ekey    string
 	objects []*object.Object
@@ -315,7 +317,7 @@ type Server struct {
 
 	cache    *lruCache[*QueryResponse]
 	optCache *lruCache[*OptimizeResponse]
-	plans    *planCache
+	indexes  *indexCache
 	mux      *http.ServeMux
 
 	// subs manages standing-query subscriptions; nil when MaxSubs < 0.
@@ -499,7 +501,7 @@ func NewWithShards(cfg Config, engines []*dynamic.Engine, epochs []int64) (*Serv
 		inflight:    make(chan struct{}, cfg.MaxInflight),
 		cache:       newResultCache(cfg.CacheSize),
 		optCache:    newLRU[*OptimizeResponse](cfg.CacheSize),
-		plans:       newPlanCache(cfg.PlanCacheSize),
+		indexes:     newIndexCache(cfg.PlanCacheSize),
 		mux:         http.NewServeMux(),
 		traces:      traces,
 		latQuery:    obs.NewHistogram(nil),
@@ -509,7 +511,7 @@ func NewWithShards(cfg Config, engines []*dynamic.Engine, epochs []int64) (*Serv
 	s.shards = make([]*shard, len(engines))
 	var total int64
 	for i, eng := range engines {
-		sh := &shard{idx: i, engine: eng, epoch: epochs[i], plans: newPlanCache(cfg.PlanCacheSize)}
+		sh := &shard{idx: i, engine: eng, epoch: epochs[i], indexes: s.indexes}
 		if len(cfg.Stores) > 0 {
 			sh.store = cfg.Stores[i]
 		}

@@ -1,15 +1,15 @@
 // Shard-per-core serving (DESIGN.md §13): the object population Ω is
 // partitioned across N shards by dynamic.ShardOf, each shard owning
-// its own engine, epoch, plan cache, WAL stream and snapshot. Object
-// mutations lock exactly one shard, so writers on different shards
-// run concurrently instead of serializing behind one global lock;
-// candidate mutations (which every shard must see — each engine holds
-// the full candidate set) lock all shards in ascending order under the
-// topology write lock. Queries assemble a combined snapshot from the
-// per-shard snapshots and — for full-vector solvers — scatter one
-// sub-problem per shard, merging the per-shard influence vectors
-// through core.SolveSharded (influence is additive over any partition
-// of Ω).
+// its own engine, epoch, WAL stream and snapshot (and, through the
+// snapshot, its influence indexes). Object mutations lock exactly one
+// shard, so writers on different shards run concurrently instead of
+// serializing behind one global lock; candidate mutations (which every
+// shard must see — each engine holds the full candidate set) lock all
+// shards in ascending order under the topology write lock. Queries
+// assemble a combined snapshot from the per-shard snapshots and sum
+// per-shard influence — from each shard snapshot's influence index, or
+// for live full-vector solves through core.SolveSharded (influence is
+// additive over any partition of Ω).
 //
 // Consistency: a combined snapshot is NOT one instant of wall time —
 // shard A's half may be older than shard B's — but every mutation
@@ -17,9 +17,9 @@
 // per-shard states is a state some serialization of the mutations
 // passes through; candidate mutations, which cross shards, exclude
 // snapshot assembly via topoMu, so the candidate set is never torn.
-// The global epoch is the sum of the per-shard epochs and cache keys
-// use the per-shard epoch VECTOR (ekey), never the sum — (5,3) and
-// (4,4) are different populations with the same sum.
+// The global epoch is the sum of the per-shard epochs and result-cache
+// keys use the per-shard epoch VECTOR (ekey), never the sum — (5,3)
+// and (4,4) are different populations with the same sum.
 package server
 
 import (
@@ -36,15 +36,13 @@ import (
 	"pinocchio/internal/dynamic"
 	"pinocchio/internal/geo"
 	"pinocchio/internal/object"
-	"pinocchio/internal/obs"
-	"pinocchio/internal/probfn"
 	"pinocchio/internal/store"
 	"pinocchio/internal/subscribe"
 )
 
 // shard is one slice of the object population: an engine holding that
 // slice (plus the full candidate set), its mutation epoch, its durable
-// stream, its plan cache and its cached object snapshot.
+// stream and its cached object snapshot.
 type shard struct {
 	idx int
 
@@ -60,13 +58,10 @@ type shard struct {
 	store *store.Store
 
 	// snap caches the shard's object snapshot; rebuilt when the epoch
-	// moved.
-	snap atomic.Pointer[shardSnap]
-
-	// plans caches solve plans built over this shard's objects for the
-	// scatter path, keyed by the shard's own epoch (scalar — within one
-	// shard there is no vector to alias).
-	plans *planCache
+	// moved. indexes is the server's index cache, told to drop a
+	// snapshot's indexes when a newer snapshot replaces it.
+	snap    atomic.Pointer[shardSnap]
+	indexes *indexCache
 
 	// Scatter attribution: cumulative wall time, solve count and peak
 	// duration of this shard's sub-solves, fed by solveScattered from
@@ -77,30 +72,46 @@ type shard struct {
 	scatterMaxNS  atomic.Int64
 }
 
-// shardSnap is one immutable view of a shard's objects.
+// shardSnap is one immutable view of a shard's objects under one
+// candidate set; it owns the influence indexes built over it.
 type shardSnap struct {
 	epoch   int64
+	cs      *candSet
 	objects []*object.Object
+
+	// retired is set, under the index cache's mutex, once a newer
+	// snapshot replaced this one: builds over it stay uncached.
+	retired bool
 }
 
 // snapNow returns the shard's current object snapshot, reusing the
-// cached one while the epoch has not moved.
-func (sh *shard) snapNow() *shardSnap {
+// cached one while the epoch and candidate set have not moved. The
+// snapshot is published with CompareAndSwap under the shard's read
+// lock, which pins the epoch, so every reader at one epoch shares one
+// snapshot — and therefore one set of index builds.
+func (sh *shard) snapNow(cs *candSet) *shardSnap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
-	if sp := sh.snap.Load(); sp != nil && sp.epoch == sh.epoch {
-		return sp
+	old := sh.snap.Load()
+	if old != nil && old.epoch == sh.epoch && old.cs == cs {
+		return old
 	}
-	sp := &shardSnap{epoch: sh.epoch, objects: sh.engine.SnapshotObjects()}
-	sh.snap.Store(sp)
+	sp := &shardSnap{epoch: sh.epoch, cs: cs, objects: sh.engine.SnapshotObjects()}
+	if !sh.snap.CompareAndSwap(old, sp) {
+		// A concurrent reader at this epoch published first.
+		return sh.snap.Load()
+	}
+	if old != nil {
+		sh.indexes.drop(old)
+	}
 	return sp
 }
 
 // candSet is the shared candidate view: ids, points and the lazily
 // built R-tree. It is rebuilt only when a candidate mutation moves
 // candGen — object mutations leave it untouched, so the slices keep
-// their identity and per-shard plans (which core.Plan matches by slice
-// identity) survive other shards' object churn.
+// their identity and a shard's snapshot (with its indexes) survives
+// other shards' object churn.
 type candSet struct {
 	gen      int64
 	ids      []int
@@ -127,18 +138,22 @@ func (s *Server) shardFor(id int) *shard {
 // shard 0 when a candidate mutation moved candGen. Caller holds
 // topoMu (read or write), which orders the read of candGen against
 // candidate mutations; every shard holds an identical candidate set,
-// so shard 0 speaks for all.
+// so shard 0 speaks for all. Publishing with CompareAndSwap makes
+// concurrent readers at one generation share one view.
 func (s *Server) candSetLocked() *candSet {
 	gen := atomic.LoadInt64(&s.candGen)
-	if cs := s.cands.Load(); cs != nil && cs.gen == gen {
-		return cs
+	old := s.cands.Load()
+	if old != nil && old.gen == gen {
+		return old
 	}
 	sh := s.shards[0]
 	sh.mu.RLock()
 	ids, pts := sh.engine.SnapshotCandidates()
 	sh.mu.RUnlock()
 	cs := &candSet{gen: gen, ids: ids, pts: pts}
-	s.cands.Store(cs)
+	if !s.cands.CompareAndSwap(old, cs) {
+		return s.cands.Load()
+	}
 	return cs
 }
 
@@ -153,19 +168,11 @@ func (s *Server) snapshotNow() *snapshot {
 	cs := s.candSetLocked()
 	parts := make([]*shardSnap, len(s.shards))
 	for i, sh := range s.shards {
-		parts[i] = sh.snapNow()
+		parts[i] = sh.snapNow(cs)
 	}
-	if sn := s.snap.Load(); sn != nil && sn.cs == cs && len(sn.parts) == len(parts) {
-		same := true
-		for i := range parts {
-			if sn.parts[i] != parts[i] {
-				same = false
-				break
-			}
-		}
-		if same {
-			return sn
-		}
+	old := s.snap.Load()
+	if old.assembledFrom(cs, parts) {
+		return old
 	}
 	var epoch int64
 	ekey := make([]string, len(parts))
@@ -196,8 +203,30 @@ func (s *Server) snapshotNow() *snapshot {
 		// is a k-way merge done lazily; ids are unique across shards.
 		sort.Slice(sn.objects, func(i, j int) bool { return sn.objects[i].ID < sn.objects[j].ID })
 	}
-	s.snap.Store(sn)
+	// Publish unless a newer snapshot got there first: per-shard epochs
+	// only grow, so a smaller sum means an older population.
+	if old == nil || sn.epoch >= old.epoch {
+		if !s.snap.CompareAndSwap(old, sn) {
+			if cur := s.snap.Load(); cur.assembledFrom(cs, parts) {
+				return cur
+			}
+		}
+	}
 	return sn
+}
+
+// assembledFrom reports whether sn combines exactly these parts under
+// candidate set cs. Nil-safe.
+func (sn *snapshot) assembledFrom(cs *candSet, parts []*shardSnap) bool {
+	if sn == nil || sn.cs != cs || len(sn.parts) != len(parts) {
+		return false
+	}
+	for i := range parts {
+		if sn.parts[i] != parts[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // mutate applies one mutation record, routing it to the shard(s) that
@@ -481,95 +510,67 @@ func (s *Server) scatters(algo string) bool {
 	return false
 }
 
-// shardPlanFor returns shard i's solve plan for the scatter path,
-// building and caching it in the shard's own plan cache on a miss.
-// The key is the shard's scalar epoch (candidate mutations bump every
-// shard's epoch, so candidate churn invalidates these too); the plan's
-// object and candidate slices come from the shard snapshot and the
-// shared candSet, whose identities are stable while the key matches.
-func (s *Server) shardPlanFor(sh *shard, ps *shardSnap, sn *snapshot, req *QueryRequest, pf probfn.Func, ctx context.Context, sp *obs.Span) (*core.Plan, string, error) {
-	if s.cfg.PlanCacheSize <= 0 {
-		return nil, "", nil
+// solveLive runs algo's solver live: scattered one sub-problem per
+// shard for full-vector solvers on a sharded server, over the combined
+// snapshot otherwise. workers applies to pin-par (per shard when
+// scattered).
+func (s *Server) solveLive(sn *snapshot, algo string, workers int, p *core.Problem) (*core.Result, error) {
+	switch {
+	case s.scatters(algo):
+		return s.solveScattered(sn, algo, workers, p)
+	case algo == "pin-par":
+		return core.PinocchioParallel(p, workers)
 	}
-	key := planKey{ekey: strconv.FormatInt(ps.epoch, 10), pf: req.PF, rho: req.Rho, lambda: req.Lambda, tau: req.Tau}
-	if pl, ok := sh.plans.get(key); ok {
-		recordPlanCache(true)
-		return pl, "cached", nil
-	}
-	recordPlanCache(false)
-	start := time.Now()
-	pl, err := core.BuildPlan(&core.Problem{
-		Objects:    ps.objects,
-		Candidates: sn.candPts,
-		PF:         pf,
-		Tau:        req.Tau,
-		Ctx:        ctx,
-		Obs:        sp,
-	}, sn.cs.candTree())
-	if err != nil {
-		return nil, "", err
-	}
-	recordPlanBuild(time.Since(start))
-	sh.plans.put(key, pl)
-	return pl, "built", nil
+	return core.Solve(algorithms[algo], p)
 }
 
-// solveScattered runs a full-vector solver as one sub-problem per
+// solveScattered runs a full-vector solver live as one sub-problem per
 // shard and merges the results through core.SolveSharded. p is the
 // parent problem over the combined snapshot (its Cost, Ctx and Obs are
-// threaded into the parts); req.Workers applies per shard for pin-par.
-func (s *Server) solveScattered(ctx context.Context, sn *snapshot, req *QueryRequest, pf probfn.Func, p *core.Problem) (*core.Result, error) {
+// threaded into the parts); workers applies per shard for pin-par.
+func (s *Server) solveScattered(sn *snapshot, algo string, workers int, p *core.Problem) (*core.Result, error) {
 	parts := make([]*core.Problem, len(sn.parts))
-	planSrc := "cached"
 	for i, ps := range sn.parts {
 		if len(ps.objects) == 0 {
 			continue
 		}
-		pp := &core.Problem{
+		parts[i] = &core.Problem{
 			Objects:    ps.objects,
 			Candidates: sn.candPts,
-			PF:         pf,
-			Tau:        req.Tau,
+			PF:         p.PF,
+			Tau:        p.Tau,
 		}
-		if usesPlan(req.Algorithm) {
-			pl, src, err := s.shardPlanFor(s.shards[i], ps, sn, req, pf, ctx, p.Obs)
-			if err != nil {
-				return nil, err
-			}
-			pp.Plan = pl
-			if src != "cached" {
-				planSrc = src
-			}
-		}
-		parts[i] = pp
-	}
-	if usesPlan(req.Algorithm) && planSrc != "" {
-		p.Cost.SetPlanSource(planSrc)
 	}
 	s.scatterSolves.Add(1)
 	res, err := core.SolveSharded(p, parts, func(_ int, part *core.Problem) (*core.Result, error) {
-		if req.Algorithm == "pin-par" {
-			return core.PinocchioParallel(part, req.Workers)
+		if algo == "pin-par" {
+			return core.PinocchioParallel(part, workers)
 		}
-		return core.Solve(algorithms[req.Algorithm], part)
+		return core.Solve(algorithms[algo], part)
 	})
 	if err == nil {
-		s.scatterMerges.Add(1)
-		for i, d := range res.ShardDurations {
-			if d <= 0 || i >= len(s.shards) {
-				continue
-			}
-			sh := s.shards[i]
-			sh.scatterSolves.Add(1)
-			sh.scatterNS.Add(int64(d))
-			// Racy max is fine: a concurrent larger value winning is the
-			// correct outcome either way.
-			if old := sh.scatterMaxNS.Load(); int64(d) > old {
-				sh.scatterMaxNS.CompareAndSwap(old, int64(d))
-			}
-		}
+		s.recordShardScatter(res.ShardDurations)
 	}
 	return res, err
+}
+
+// recordShardScatter counts one merged scatter and folds its per-shard
+// wall times into the shards' attribution counters.
+func (s *Server) recordShardScatter(durs []time.Duration) {
+	s.scatterMerges.Add(1)
+	for i, d := range durs {
+		if d <= 0 || i >= len(s.shards) {
+			continue
+		}
+		sh := s.shards[i]
+		sh.scatterSolves.Add(1)
+		sh.scatterNS.Add(int64(d))
+		// Racy max is fine: a concurrent larger value winning is the
+		// correct outcome either way.
+		if old := sh.scatterMaxNS.Load(); int64(d) > old {
+			sh.scatterMaxNS.CompareAndSwap(old, int64(d))
+		}
+	}
 }
 
 // mergedInfluences sums the per-shard influence relations into one

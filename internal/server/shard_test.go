@@ -31,7 +31,8 @@ func shardedPair(t *testing.T, n int) (base, sharded *Server) {
 // TestShardedQueryParity is the served scatter-gather guarantee: for
 // every algorithm the n-shard server's /v1/query response is
 // byte-identical (influences, best, Stats, merged EXPLAIN ledger) to
-// the 1-shard server's.
+// the 1-shard server's, on the live path (explain) and on the index
+// path, where the per-shard index builds sum to the 1-shard build.
 func TestShardedQueryParity(t *testing.T) {
 	for _, n := range []int{2, 4, 7} {
 		base, sharded := shardedPair(t, n)
@@ -54,25 +55,23 @@ func TestShardedQueryParity(t *testing.T) {
 			}
 			stripVolatile(&want)
 			stripVolatile(&got)
-			// Plan provenance legitimately differs: scattered solves warm
-			// per-shard caches, combined solves the global one — so one
-			// side may hit where the other builds. Everything else must
-			// match exactly.
-			want.Explain.PlanSource, got.Explain.PlanSource = "", ""
 			if !reflect.DeepEqual(want, got) {
 				t.Errorf("%s: sharded response diverged\nbase:    %+v\nsharded: %+v", name, want, got)
 			}
 		}
-		// A warm second pass replays the per-shard plans; answers must
-		// not drift.
+		// The index path: a first query builds every shard's index, a
+		// second looks them up; both match the 1-shard server, Stats
+		// included.
 		body := `{"algorithm":"pin","tau":0.7,"no_cache":true}`
-		var first, second QueryResponse
-		do(t, sharded, "POST", "/v1/query", body, &first)
-		do(t, sharded, "POST", "/v1/query", body, &second)
-		stripVolatile(&first)
-		stripVolatile(&second)
-		if !reflect.DeepEqual(first, second) {
-			t.Errorf("n=%d: warm scattered solve diverged from cold", n)
+		for pass := 0; pass < 2; pass++ {
+			var want, got QueryResponse
+			do(t, base, "POST", "/v1/query", body, &want)
+			do(t, sharded, "POST", "/v1/query", body, &got)
+			stripVolatile(&want)
+			stripVolatile(&got)
+			if !reflect.DeepEqual(want, got) {
+				t.Errorf("n=%d pass %d: indexed scattered response diverged\nbase:    %+v\nsharded: %+v", n, pass, want, got)
+			}
 		}
 	}
 }
@@ -276,7 +275,9 @@ func shardedDurableServer(t *testing.T, dir string, n int) (*Server, []*store.St
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := NewFromRecovery(Config{Stores: stores, CheckpointEvery: -1}, results)
+	// Live solves (no index cache): the recovery checks compare Stats,
+	// which the index path sets to each request's own build work.
+	srv, err := NewFromRecovery(Config{Stores: stores, CheckpointEvery: -1, PlanCacheSize: -1}, results)
 	if err != nil {
 		t.Fatal(err)
 	}

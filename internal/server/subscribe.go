@@ -16,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"time"
 
@@ -36,8 +35,10 @@ var sseHeartbeat = 15 * time.Second
 // against the current snapshot and return the FULL ranked influence
 // vector (influence descending, id ascending) — the subscription
 // guard needs exact lower bounds for every candidate, not just the
-// delivered prefix. Reuses the plan cache, so a burst of subscription
-// re-solves at one epoch builds the (PF, τ) plan once.
+// delivered prefix. pin and pin-par read the per-shard influence
+// indexes, so a burst of re-solves at one epoch builds each changed
+// shard's index once and the rest are lookups; na (and every query
+// with the index cache disabled) solves live.
 func (s *Server) SolveTopK(q *subscribe.Query) (*subscribe.Solution, error) {
 	pf, err := probfn.ByName(q.PF, q.RhoVal(), q.LambdaVal())
 	if err != nil {
@@ -67,9 +68,6 @@ func (s *Server) SolveTopK(q *subscribe.Query) (*subscribe.Solution, error) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.MaxTimeout)
 	defer cancel()
-	req := &QueryRequest{
-		Algorithm: q.Algorithm, PF: q.PF, Rho: q.RhoVal(), Lambda: q.LambdaVal(), Tau: q.Tau,
-	}
 	// With tracing on, the re-solve gets its own span tree; it returns
 	// through Solution.Trace, and the subscription pipeline adopts it
 	// under its "solve" stage — the causal link from an ingest's trace
@@ -81,51 +79,31 @@ func (s *Server) SolveTopK(q *subscribe.Query) (*subscribe.Solution, error) {
 		sol.Trace = sp
 		defer sp.End()
 	}
-	p := &core.Problem{
-		Objects:    sn.objects,
-		Candidates: sn.candPts,
-		PF:         pf,
-		Tau:        q.Tau,
-		Ctx:        ctx,
-		Obs:        sp,
-		TraceID:    sol.TraceID,
-	}
-	var res *core.Result
-	if s.scatters(q.Algorithm) {
-		// Subscription algorithms all compute full vectors, so with
-		// multiple shards the re-solve takes the scatter-gather path
-		// (per-shard plans attach inside solveScattered).
-		res, err = s.solveScattered(ctx, sn, req, pf, p)
+	var influences []int
+	if s.indexServes(q.Algorithm, false) {
+		influences, _, err = s.indexInfluences(ctx, sn, pfKey(q.PF, q.RhoVal(), q.LambdaVal()), pf, q.Tau, sp)
 	} else {
-		if usesPlan(q.Algorithm) {
-			pl, _, err := s.planFor(ctx, sn, req, pf, nil)
-			if err != nil {
-				return nil, err
-			}
-			p.Plan = pl
+		p := &core.Problem{
+			Objects:    sn.objects,
+			Candidates: sn.candPts,
+			PF:         pf,
+			Tau:        q.Tau,
+			Ctx:        ctx,
+			Obs:        sp,
+			TraceID:    sol.TraceID,
 		}
-		if q.Algorithm == "pin-par" {
-			res, err = core.PinocchioParallel(p, 0)
-		} else {
-			res, err = core.Solve(algorithms[q.Algorithm], p)
+		var res *core.Result
+		if res, err = s.solveLive(sn, q.Algorithm, 0, p); err == nil {
+			influences = res.Influences
 		}
 	}
 	if err != nil {
 		return nil, err
 	}
-	if res.Influences == nil {
+	if influences == nil {
 		return nil, fmt.Errorf("server: %s computed no influence vector", q.Algorithm)
 	}
-	ranked := make([]core.Ranked, len(res.Influences))
-	for i, inf := range res.Influences {
-		ranked[i] = core.Ranked{Index: i, Influence: inf}
-	}
-	sort.SliceStable(ranked, func(a, b int) bool {
-		if ranked[a].Influence != ranked[b].Influence {
-			return ranked[a].Influence > ranked[b].Influence
-		}
-		return ranked[a].Index < ranked[b].Index
-	})
+	ranked := core.Rank(influences)
 	sol.Ranked = make([]subscribe.Candidate, len(ranked))
 	for i, rk := range ranked {
 		sol.Ranked[i] = mk(rk.Index, rk.Influence)

@@ -28,6 +28,14 @@ echo "== sharded parity -race"
 # the race detector even when the suite above is trimmed locally.
 go test -race -run 'TestSharded' ./internal/server
 
+echo "== influence index exactness -race"
+# The index answers every τ of an interval from sorted non-influence
+# products; these pin it to NA bit for bit (the boundary probe and the
+# randomized property over every PF family), and the serving stress
+# test drives index builds, snapshot swaps and mutations concurrently.
+go test -race -run 'TestIndexBoundaryProbe|TestIndexMatchesNA|TestPinocchioVOTieBreak' ./internal/core
+go test -race -run 'TestServeStressNo500' ./internal/server
+
 echo "== optimize dominance -race"
 # The bound-soundness property: the candidate-free optimizer's answer
 # (plus its reported gap) must dominate any dense-grid enumeration.

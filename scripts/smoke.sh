@@ -55,18 +55,18 @@ curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin-vo","k":3}'
 echo
 
 echo "== cached vs uncached parity"
-# The same query solved three ways must agree on the best candidate:
-# a cold solve-plan build, a warm-plan replay of the cached plan, and
-# a result-cache hit. no_cache bypasses only the result cache, so the
-# first two are real solves.
+# The same query answered three ways must agree on the best candidate:
+# an influence-index build, an index lookup, and a result-cache hit.
+# no_cache bypasses only the result cache, so the first two read the
+# index.
 q='{"tau":0.7,"algorithm":"pin-vo","no_cache":true}'
 best() { sed 's/^{"best":{\([^}]*\)}.*/\1/'; }
 b1=$(curl -fsS "http://$addr/v1/query" -d "$q" | best)
 b2=$(curl -fsS "http://$addr/v1/query" -d "$q" | best)
 b3=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin-vo"}' | best)
 b4=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin-vo"}' | best)
-echo "cold-plan:    $b1"
-echo "warm-plan:    $b2"
+echo "index-build:  $b1"
+echo "index-lookup: $b2"
 echo "result-cache: $b4"
 if [ "$b1" != "$b2" ] || [ "$b1" != "$b3" ] || [ "$b1" != "$b4" ]; then
     echo "parity violation between cached and uncached solves" >&2
@@ -101,10 +101,9 @@ ia=$(exfield pruned_ia)
 nibbox=$(exfield pruned_nib_box)
 nibarc=$(exfield pruned_nib_arc)
 vlive=$(exfield validated_live)
-vmemo=$(exfield validated_memo)
 skipped=$(exfield skipped_by_bounds)
-sum=$((ia + nibbox + nibarc + vlive + vmemo + skipped))
-echo "pairs=$pairs ia=$ia nib-box=$nibbox nib-arc=$nibarc live=$vlive memo=$vmemo skipped=$skipped"
+sum=$((ia + nibbox + nibarc + vlive + skipped))
+echo "pairs=$pairs ia=$ia nib-box=$nibbox nib-arc=$nibarc live=$vlive skipped=$skipped"
 if [ "$pairs" -eq 0 ] || [ "$sum" -ne "$pairs" ]; then
     echo "explain buckets sum to $sum, want $pairs: $exflat" >&2
     exit 1
