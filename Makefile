@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-snapshot smoke ci fmt vet
+.PHONY: build test race bench smoke ci fmt vet
 
 build:
 	$(GO) build ./...
@@ -13,10 +13,6 @@ race:
 
 bench:
 	$(GO) test -bench=. -benchmem .
-
-# Regenerate the checked-in benchmark snapshot (BENCH_PR6.json).
-bench-snapshot:
-	$(GO) run ./cmd/experiments -bench BENCH_PR6.json -seed 7
 
 # Start pinocchiod on an ephemeral port, hit it, shut it down.
 smoke:

@@ -11,10 +11,8 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
-	"log/slog"
 	"os"
 	"strings"
 
@@ -24,14 +22,9 @@ import (
 
 func main() {
 	var (
-		scale      = flag.Float64("scale", 0.2, "dataset size factor in (0, 1]")
-		seed       = flag.Int64("seed", 2, "environment seed")
-		only       = flag.String("only", "", "comma-separated subset: precision,fig8,...,fig16 (default all)")
-		bench      = flag.String("bench", "", "skip the suite; write a bench snapshot (BENCH_*.json) to this path")
-		benchIters = flag.Int("bench-iters", 3, "timed runs per algorithm for -bench")
-		benchScale = flag.Float64("bench-scale", 0, "dataset scale for -bench (0 = snapshot default)")
-		benchShard = flag.String("bench-shard", "", "skip the suite; write the shard-per-core bench snapshot to this path")
-		benchOpt   = flag.String("bench-optimize", "", "skip the suite; write the optimize-vs-grid bench snapshot to this path")
+		scale = flag.Float64("scale", 0.2, "dataset size factor in (0, 1]")
+		seed  = flag.Int64("seed", 2, "environment seed")
+		only  = flag.String("only", "", "comma-separated subset: precision,fig8,...,fig16 (default all)")
 	)
 	obsFlags := obs.RegisterFlags(flag.CommandLine)
 	flag.Parse()
@@ -45,104 +38,10 @@ func main() {
 		defer srv.Close()
 	}
 
-	if *bench != "" {
-		if err := runBench(*bench, *benchScale, *benchIters, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchShard != "" {
-		if err := runBenchShard(*benchShard); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *benchOpt != "" {
-		if err := runBenchOptimize(*benchOpt); err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(1)
-		}
-		return
-	}
 	if err := run(*scale, *seed, *only); err != nil {
 		fmt.Fprintln(os.Stderr, "experiments:", err)
 		os.Exit(1)
 	}
-}
-
-// runBench emits the machine-readable benchmark snapshot and prints a
-// one-line summary per algorithm.
-func runBench(path string, scale float64, iters int, seed int64) error {
-	cfg := experiments.DefaultBenchConfig()
-	cfg.Seed = seed
-	if scale > 0 {
-		cfg.Scale = scale
-	}
-	if iters > 0 {
-		cfg.Iterations = iters
-	}
-	snap, err := experiments.WriteBenchSnapshot(path, cfg)
-	if err != nil {
-		return err
-	}
-	for _, a := range snap.Algorithms {
-		phases, _ := json.Marshal(a.PhasesMs)
-		slog.Info("bench", "algo", a.Algorithm, "wall_ms", fmt.Sprintf("%.2f", a.WallMs),
-			"prune_ratio", fmt.Sprintf("%.3f", a.PruneRatio), "phases_ms", string(phases))
-	}
-	experiments.PruneAccountingTable(snap.PruneAccounting).Render(os.Stdout)
-	fmt.Printf("wrote %s (%d algorithms, %d objects × %d candidates)\n",
-		path, len(snap.Algorithms), snap.Objects, snap.Candidates)
-	return nil
-}
-
-// runBenchShard emits the shard-per-core snapshot (DESIGN.md §13):
-// scatter-gather solves vs the unsharded baseline at Gowalla scale and
-// a ×10 synthetic scale-up, plus loadgen serving throughput at each
-// shard count.
-func runBenchShard(path string) error {
-	snap, err := experiments.WriteBenchShard(path, experiments.DefaultBenchShardConfig())
-	if err != nil {
-		return err
-	}
-	for _, r := range snap.Solve {
-		slog.Info("bench-shard solve", "dataset", r.Dataset, "algo", r.Algorithm,
-			"shards", r.Shards, "wall_ms", fmt.Sprintf("%.1f", r.WallMs),
-			"speedup", fmt.Sprintf("%.2f", r.Speedup), "parity", r.ParityOK)
-	}
-	for _, r := range snap.Serve {
-		slog.Info("bench-shard serve", "dataset", r.Dataset, "shards", r.Shards,
-			"mutratio", r.MutationRatio, "ops_per_sec", fmt.Sprintf("%.0f", r.OpsPerSec),
-			"speedup", fmt.Sprintf("%.2f", r.Speedup), "scatter_merges", r.ScatterMerges)
-	}
-	if snap.HostNote != "" {
-		slog.Warn("bench-shard host caveat", "note", snap.HostNote)
-	}
-	fmt.Printf("wrote %s (%d solve rows, %d serve rows)\n", path, len(snap.Solve), len(snap.Serve))
-	return nil
-}
-
-// runBenchOptimize emits the candidate-free placement snapshot
-// (DESIGN.md §14): the MaxRS-style sweep plus refinement against dense
-// uniform-grid candidate enumeration at Gowalla ×1 and ×10.
-func runBenchOptimize(path string) error {
-	snap, err := experiments.WriteBenchOptimize(path, experiments.DefaultBenchOptimizeConfig())
-	if err != nil {
-		return err
-	}
-	for _, r := range snap.Rows {
-		slog.Info("bench-optimize", "dataset", r.Dataset, "objects", r.Objects,
-			"grid_best", r.GridBest, "grid_pairs", r.GridPairs,
-			"opt_best", r.BestInfluence, "opt_pair_work", r.OptPairWork,
-			"pair_ratio", fmt.Sprintf("%.3f", r.PairRatio),
-			"resolved", r.Resolved, "gap", r.Gap,
-			"grid_wall_ms", fmt.Sprintf("%.0f", r.GridWallMs),
-			"opt_wall_ms", fmt.Sprintf("%.0f", r.OptWallMs))
-	}
-	fmt.Printf("wrote %s (%d rows)\n", path, len(snap.Rows))
-	return nil
 }
 
 func run(scale float64, seed int64, only string) error {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -12,120 +13,37 @@ import (
 	"pinocchio/internal/dataset"
 )
 
-// TestRunServesAndShutsDown boots the daemon on an ephemeral port,
-// exercises a health check and one query over real HTTP, and then
-// checks that cancelling the context shuts it down cleanly.
-func TestRunServesAndShutsDown(t *testing.T) {
-	addrFile := filepath.Join(t.TempDir(), "addr")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-
-	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, options{
-			addr:       "127.0.0.1:0",
-			addrFile:   addrFile,
-			source:     dataset.Source{Scale: 0.05},
-			candidates: 50,
-			seed:       1,
-			pfName:     "powerlaw",
-			rho:        0.9,
-			lambda:     1.0,
-			tau:        0.7,
-			cacheSize:  16,
-			maxTimeout: 10 * time.Second,
-		})
-	}()
-
-	// Wait for the addr file to appear.
-	var addr string
-	deadline := time.Now().Add(15 * time.Second)
-	for addr == "" {
-		if time.Now().After(deadline) {
-			t.Fatal("daemon did not write the addr file in time")
-		}
-		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
-			addr = strings.TrimSpace(string(b))
-			break
-		}
-		select {
-		case err := <-done:
-			t.Fatalf("run exited early: %v", err)
-		case <-time.After(20 * time.Millisecond):
-		}
-	}
-	base := "http://" + addr
-
-	resp, err := http.Get(base + "/healthz")
-	if err != nil {
-		t.Fatalf("healthz: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz: %d", resp.StatusCode)
-	}
-
-	resp, err = http.Post(base+"/v1/query", "application/json",
-		strings.NewReader(`{"tau":0.7,"algorithm":"pin-vo"}`))
-	if err != nil {
-		t.Fatalf("query: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("query: %d", resp.StatusCode)
-	}
-
-	resp, err = http.Get(base + "/metrics")
-	if err != nil {
-		t.Fatalf("metrics: %v", err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("metrics: %d", resp.StatusCode)
-	}
-
-	cancel()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("run: %v", err)
-		}
-	case <-time.After(15 * time.Second):
-		t.Fatal("daemon did not shut down in time")
+// testOptions serves a small generated workload on an ephemeral port.
+func testOptions() options {
+	return options{
+		addr:       "127.0.0.1:0",
+		source:     dataset.Source{Scale: 0.05},
+		candidates: 50,
+		seed:       1,
+		pfName:     "powerlaw",
+		rho:        0.9,
+		lambda:     1.0,
+		tau:        0.7,
+		cacheSize:  16,
+		maxTimeout: 10 * time.Second,
 	}
 }
 
-// startDaemon boots run() with a data directory and returns the bound
-// address plus a stop function that shuts it down gracefully.
-func startDaemon(t *testing.T, dataDir string) (string, func()) {
+// startDaemon boots run() with opts and returns the bound address plus
+// a stop function that shuts it down gracefully and fails the test if
+// run returns an error.
+func startDaemon(t *testing.T, opts options) (string, func()) {
 	t.Helper()
-	addrFile := filepath.Join(t.TempDir(), "addr")
+	opts.addrFile = filepath.Join(t.TempDir(), "addr")
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
-	go func() {
-		done <- run(ctx, options{
-			addr:            "127.0.0.1:0",
-			addrFile:        addrFile,
-			source:          dataset.Source{Scale: 0.05},
-			candidates:      50,
-			seed:            1,
-			pfName:          "powerlaw",
-			rho:             0.9,
-			lambda:          1.0,
-			tau:             0.7,
-			cacheSize:       16,
-			maxTimeout:      10 * time.Second,
-			dataDir:         dataDir,
-			fsync:           "off",
-			checkpointEvery: -1,
-		})
-	}()
+	go func() { done <- run(ctx, opts) }()
 	deadline := time.Now().Add(15 * time.Second)
 	for {
 		if time.Now().After(deadline) {
 			t.Fatal("daemon did not write the addr file in time")
 		}
-		if b, err := os.ReadFile(addrFile); err == nil && len(b) > 0 {
+		if b, err := os.ReadFile(opts.addrFile); err == nil && len(b) > 0 {
 			addr := strings.TrimSpace(string(b))
 			return addr, func() {
 				cancel()
@@ -147,13 +65,81 @@ func startDaemon(t *testing.T, dataDir string) (string, func()) {
 	}
 }
 
+// fetchJSON sends body (GET when empty) to url, requires 200 and
+// decodes the response into out.
+func fetchJSON(t *testing.T, url, body string, out any) {
+	t.Helper()
+	var resp *http.Response
+	var err error
+	if body == "" {
+		resp, err = http.Get(url)
+	} else {
+		resp, err = http.Post(url, "application/json", strings.NewReader(body))
+	}
+	if err != nil {
+		t.Fatalf("%s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("%s: %d", url, resp.StatusCode)
+	}
+	if out != nil {
+		if err := json.NewDecoder(resp.Body).Decode(out); err != nil {
+			t.Fatalf("%s: %v", url, err)
+		}
+	}
+}
+
+// TestRunServesAndShutsDown boots the daemon on an ephemeral port,
+// exercises a health check and one query over real HTTP, and then
+// checks that cancelling the context shuts it down cleanly.
+func TestRunServesAndShutsDown(t *testing.T) {
+	addr, stop := startDaemon(t, testOptions())
+	defer stop()
+	base := "http://" + addr
+	fetchJSON(t, base+"/healthz", "", nil)
+	fetchJSON(t, base+"/v1/query", `{"tau":0.7,"algorithm":"pin-vo"}`, nil)
+	fetchJSON(t, base+"/metrics", "", nil)
+}
+
+// TestRunCacheSizeZeroDisables checks that -cache-size 0 turns the
+// response caches off rather than selecting the default capacity: a
+// repeated query is solved again and the result cache stays empty.
+func TestRunCacheSizeZeroDisables(t *testing.T) {
+	opts := testOptions()
+	opts.cacheSize = 0
+	addr, stop := startDaemon(t, opts)
+	defer stop()
+	base := "http://" + addr
+	for i := 0; i < 2; i++ {
+		var q struct {
+			Cached bool `json:"cached"`
+		}
+		fetchJSON(t, base+"/v1/query", `{"tau":0.7}`, &q)
+		if q.Cached {
+			t.Fatalf("query %d answered from a disabled cache", i+1)
+		}
+	}
+	var st struct {
+		CacheEntries *int `json:"cache_entries"`
+	}
+	fetchJSON(t, base+"/v1/status", "", &st)
+	if st.CacheEntries == nil || *st.CacheEntries != 0 {
+		t.Fatalf("cache_entries = %v, want 0", st.CacheEntries)
+	}
+}
+
 // TestRunDurableRestart boots the daemon with a data directory,
 // mutates it, restarts on the same directory, and checks the mutated
 // state survived without re-reading the dataset.
 func TestRunDurableRestart(t *testing.T) {
 	dataDir := filepath.Join(t.TempDir(), "state")
 
-	addr, stop := startDaemon(t, dataDir)
+	opts := testOptions()
+	opts.dataDir = dataDir
+	opts.fsync = "off"
+	opts.checkpointEvery = -1
+	addr, stop := startDaemon(t, opts)
 	base := "http://" + addr
 	resp, err := http.Post(base+"/v1/objects", "application/json",
 		strings.NewReader(`{"id":987654,"positions":[{"x":0.5,"y":0.5}]}`))
@@ -166,7 +152,7 @@ func TestRunDurableRestart(t *testing.T) {
 	}
 	stop()
 
-	addr, stop = startDaemon(t, dataDir)
+	addr, stop = startDaemon(t, opts)
 	defer stop()
 	base = "http://" + addr
 	// Re-adding the same object must now conflict: the first add was
@@ -193,5 +179,13 @@ func TestRunRejectsBadConfig(t *testing.T) {
 	if err := run(ctx, options{pfName: "powerlaw", rho: 0.9, lambda: 1,
 		source: dataset.Source{Preset: "mars"}}); err == nil {
 		t.Fatal("bad preset should fail")
+	}
+	opts := testOptions()
+	opts.cacheSize = -1
+	// Cancelled first, so run returns at once should the value ever
+	// slip through validation.
+	cancel()
+	if err := run(ctx, opts); err == nil || !strings.Contains(err.Error(), "-cache-size") {
+		t.Fatalf("-cache-size -1: err = %v, want a -cache-size error", err)
 	}
 }

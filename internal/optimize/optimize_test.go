@@ -100,6 +100,10 @@ func TestOptimizeDominatesGrid(t *testing.T) {
 			}
 		}
 
+		if res.UpperBound < res.BestInfluence || res.UpperBound != res.BestInfluence+res.Gap {
+			t.Fatalf("trial %d: upper bound %d, best %d, gap %d: want upper_bound == best + gap ≥ best",
+				trial, res.UpperBound, res.BestInfluence, res.Gap)
+		}
 		if res.BestInfluence+res.Gap < gridBest {
 			t.Fatalf("trial %d τ=%v: best %d + gap %d < grid best %d",
 				trial, tau, res.BestInfluence, res.Gap, gridBest)

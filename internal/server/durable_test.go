@@ -26,7 +26,12 @@ func durableServer(t *testing.T, dir string, ckptEvery int) (*Server, *store.Sto
 		st.Close()
 		t.Fatal(err)
 	}
-	srv := NewWithEngine(Config{Store: st, CheckpointEvery: ckptEvery}, res.Engine, res.Epoch)
+	srv, err := NewFromRecovery(Config{Stores: []*store.Store{st}, CheckpointEvery: ckptEvery},
+		[]*store.RecoverResult{res})
+	if err != nil {
+		st.Close()
+		t.Fatal(err)
+	}
 	return srv, st
 }
 

@@ -190,4 +190,18 @@ func TestServeStressNo500(t *testing.T) {
 			t.Errorf("%s: indexed answer %+v %+v, live %+v %+v", body, served.Best, served.TopK, live.Best, live.TopK)
 		}
 	}
+
+	// The indexed queries above gathered across all three shards, so the
+	// scatter counters must have moved: every merge is a scattered solve.
+	var st struct {
+		Shards struct {
+			ScatterSolves int64 `json:"scatter_solves"`
+			ScatterMerges int64 `json:"scatter_merges"`
+		} `json:"shards"`
+	}
+	do(t, s, "GET", "/v1/status", "", &st)
+	if st.Shards.ScatterMerges <= 0 || st.Shards.ScatterSolves < st.Shards.ScatterMerges {
+		t.Errorf("scatter_solves = %d, scatter_merges = %d: want merges > 0 and solves >= merges",
+			st.Shards.ScatterSolves, st.Shards.ScatterMerges)
+	}
 }

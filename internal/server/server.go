@@ -84,8 +84,9 @@ type Config struct {
 	// busy, so admission scales with the wider of the two.
 	MaxInflight int
 
-	// CacheSize is the result-cache capacity in entries (default 128;
-	// negative disables caching).
+	// CacheSize is the capacity in entries of each of the two response
+	// caches, the query result cache and the optimize cache (default
+	// 128; negative disables both).
 	CacheSize int
 
 	// PlanCacheSize bounds how many influence indexes are held
@@ -103,20 +104,17 @@ type Config struct {
 	// Defaults to 30s.
 	MaxTimeout time.Duration
 
-	// Store, when non-nil, makes mutations durable: every mutation is
-	// appended to the write-ahead log before it touches the engine, so
-	// a crash after the HTTP acknowledgement never loses it. Single-
-	// shard convenience form of Stores.
-	Store *store.Store
-
-	// Stores are the per-shard durable streams (store.OpenSharded),
-	// index-aligned with the shards; len(Stores) must equal Shards.
-	// Takes precedence over Store.
+	// Stores, when non-empty, make mutations durable: every mutation
+	// is appended to its shard's write-ahead log before it touches the
+	// engine, so a crash after the HTTP acknowledgement never loses
+	// it. They are the per-shard streams (store.OpenSharded, or one
+	// store.Open for a single shard), index-aligned with the shards;
+	// len(Stores) must equal Shards.
 	Stores []*store.Store
 
 	// CheckpointEvery triggers a background checkpoint after that many
 	// applied mutations (default 10000; negative disables automatic
-	// checkpoints). Only meaningful with a Store.
+	// checkpoints). Only meaningful with Stores.
 	CheckpointEvery int
 
 	// SlowQuery is the slow-request threshold: a traced request
@@ -174,12 +172,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Shards <= 0 {
 		c.Shards = 1
-	}
-	if c.Stores == nil && c.Store != nil {
-		c.Stores = []*store.Store{c.Store}
-	}
-	if len(c.Stores) > 0 {
-		c.Store = c.Stores[0]
 	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 2 * max(runtime.GOMAXPROCS(0), c.Shards)
@@ -439,22 +431,6 @@ func New(cfg Config, objects []*object.Object, candidates []geo.Point) (*Server,
 	return NewWithShards(cfg, engines, make([]int64, cfg.Shards))
 }
 
-// NewWithEngine builds a single-shard server around an existing
-// engine — the classic recovery path: store.Recover yields an engine
-// plus the epoch it had reached, and the server continues from there.
-// Forces Shards to 1 regardless of cfg. The engine's PF/τ must match
-// cfg (the store's config tag enforces this at recovery time).
-func NewWithEngine(cfg Config, eng *dynamic.Engine, epoch int64) *Server {
-	cfg.Shards = 1
-	cfg.Stores = nil
-	s, err := NewWithShards(cfg, []*dynamic.Engine{eng}, []int64{epoch})
-	if err != nil {
-		// Unreachable: lengths match Shards=1 by construction.
-		panic(err)
-	}
-	return s
-}
-
 // NewFromRecovery builds a server from store.RecoverSharded's
 // results: one engine and epoch per shard, stores attached for
 // continued logging. cfg.Stores should already hold the recovered
@@ -594,7 +570,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // checkpoint runs at a time; the counter resets when it starts, so a
 // slow checkpoint simply delays the next trigger.
 func (s *Server) maybeCheckpoint() {
-	if s.cfg.Store == nil || s.cfg.CheckpointEvery <= 0 {
+	if len(s.cfg.Stores) == 0 || s.cfg.CheckpointEvery <= 0 {
 		return
 	}
 	if s.sinceCkpt.Add(1) < int64(s.cfg.CheckpointEvery) {

@@ -192,6 +192,43 @@ func TestIngestFlipsSubscriptionAndNoOpStaysQuiet(t *testing.T) {
 	}
 }
 
+// TestIngestFlipRetainsNotifyTrace checks notify-trace retention: a
+// flipping ingest leaves a kind=notify trace at /v1/debug/traces, and
+// with tracing disabled the flip still publishes while the endpoint
+// answers 404.
+func TestIngestFlipRetainsNotifyTrace(t *testing.T) {
+	for _, keep := range []int{0, -1} {
+		s := newFlipServer(t, Config{TraceKeep: keep})
+		_, sub := registerSub(t, s, fmt.Sprintf(`{"tau":%g}`, subTau))
+		do(t, s, "POST", "/v1/ingest", `{"appends":[{"id":1,"positions":[{"x":10,"y":10}]}]}`, nil)
+		s.DrainSubscriptions()
+		if evs, _ := sub.Since(1); len(evs) != 1 {
+			t.Fatalf("TraceKeep %d: flip delivered %d events, want 1", keep, len(evs))
+		}
+		var listing struct {
+			Traces []struct {
+				Kind string `json:"kind"`
+			} `json:"traces"`
+		}
+		rec := do(t, s, "GET", "/v1/debug/traces?kind=notify", "", &listing)
+		if keep < 0 {
+			if rec.Code != http.StatusNotFound {
+				t.Fatalf("tracing disabled: trace list %d, want 404", rec.Code)
+			}
+			continue
+		}
+		if rec.Code != http.StatusOK || len(listing.Traces) == 0 {
+			t.Fatalf("trace list %d with %d notify traces, want 200 and at least one: %s",
+				rec.Code, len(listing.Traces), rec.Body.String())
+		}
+		for _, tr := range listing.Traces {
+			if tr.Kind != "notify" {
+				t.Fatalf("kind=notify listing holds a %q trace", tr.Kind)
+			}
+		}
+	}
+}
+
 // TestSubscriptionParityUnderStream is the acceptance-criteria parity
 // test: random position batches stream through /v1/ingest against
 // several concurrent subscriptions, and after every batch each

@@ -1,6 +1,6 @@
 #!/usr/bin/env sh
-# CI gate: formatting, vet, build, race-enabled tests and a bench
-# snapshot smoke run. Usage: scripts/ci.sh (or make ci).
+# CI gate: formatting, vet, build, race-enabled tests, the benchmark's
+# self-test and a daemon smoke run. Usage: scripts/ci.sh (or make ci).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -50,62 +50,16 @@ go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz '^FuzzRecord$' -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz '^FuzzEventCodec$' -fuzztime 10s ./internal/optimize
 
-echo "== benchguard"
-# Warm-path regression guard over the two newest checked-in core-bench
-# snapshots: >25% wall-time growth on any shared algorithms[] row fails.
-sh scripts/benchguard.sh
-
-echo "== bench snapshot smoke"
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
-go run ./cmd/experiments -bench "$tmp/bench.json" -bench-scale 0.02 -bench-iters 1
-head -c 200 "$tmp/bench.json"
-echo
-
-echo "== sharded serving smoke"
-# Boot a 2-shard daemon, drive a short mixed load through cmd/loadgen,
-# and require that some queries actually took the scatter-gather path
-# (non-zero cross-shard merge count in /v1/status).
-go build -o "$tmp/pinocchiod" ./cmd/pinocchiod
-go build -o "$tmp/loadgen" ./cmd/loadgen
-"$tmp/pinocchiod" -addr 127.0.0.1:0 -addr-file "$tmp/shard-addr" \
-    -shards 2 -scale 0.05 -candidates 50 &
-shardpid=$!
-trap 'kill "$shardpid" 2>/dev/null || true; rm -rf "$tmp"' EXIT
-i=0
-while [ ! -s "$tmp/shard-addr" ]; do
-    i=$((i + 1))
-    if [ "$i" -gt 200 ]; then
-        echo "sharded daemon did not write addr file" >&2
-        exit 1
-    fi
-    if ! kill -0 "$shardpid" 2>/dev/null; then
-        echo "sharded daemon exited before listening" >&2
-        exit 1
-    fi
-    sleep 0.1
-done
-addr=$(cat "$tmp/shard-addr")
-"$tmp/loadgen" -url "http://$addr" -duration 2s -workers 2 \
-    -max-ops 40 -out "$tmp/loadgen.json"
-head -c 400 "$tmp/loadgen.json"
-echo
-grep -q '"errors": 0' "$tmp/loadgen.json" || {
-    echo "loadgen run reported request errors" >&2
-    exit 1
-}
-status=$(curl -fsS "http://$addr/v1/status")
-merges=$(printf '%s' "$status" |
-    sed -n 's/.*"scatter_merges":\([0-9][0-9]*\).*/\1/p')
-echo "scatter_merges=${merges:-0}"
-if [ "${merges:-0}" -eq 0 ]; then
-    echo "no cross-shard merges on a 2-shard daemon: $status" >&2
-    exit 1
-fi
-kill "$shardpid"
-wait "$shardpid" 2>/dev/null || true
-shardpid=""
-trap 'rm -rf "$tmp"' EXIT
+echo "== perfbench self-test"
+# perfbench is a module of its own, so the root ./... above neither
+# vets nor tests it. Its self-test builds pinocchiod from this checkout
+# and boots it for every workload (paper-sweep, monitor and the
+# unlisted serve-mixed), untraced and traced, and requires correct:
+# true against the exact oracle plus every BENCHMARK.json metric in the
+# result line. -count=1: the daemon it boots is built by the test, so a
+# cached pass would not cover a daemon change.
+go -C perfbench vet ./...
+(cd perfbench && go test -count=1 -v ./...)
 
 echo "== daemon smoke"
 sh scripts/smoke.sh
