@@ -3,27 +3,15 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sort"
 
-	"pinocchio/internal/probfn"
+	"pinocchio/internal/object"
 	"pinocchio/internal/rtree"
 )
 
 // ErrBadInterval is returned by BuildIndex for a τ interval outside
 // [0, 1] or with lo > hi.
 var ErrBadInterval = errors.New("core: index interval must satisfy 0 <= lo <= hi <= 1")
-
-// indexMargin is the relative slack of the index's pruning radii. A
-// pair is dropped (NIB) or counted as always influenced (IA) on
-// geometry alone only when its exact non-influence product clears the
-// relevant bar by this factor, so the verdict holds for the product
-// NA computes in floating point too: an n-position product with
-// per-factor rounding of a few ulps is off by about 5nε ≈ 1.1e-15·n,
-// below 1e-6 for any n under 10⁸. Pairs inside the margin are
-// validated exactly, which costs a few extra products and never an
-// answer.
-const indexMargin = 1e-6
 
 // Index answers PRIME-LS influence queries for one (object set,
 // candidate set, PF) at every τ of an interval [lo, hi], exactly as NA
@@ -56,11 +44,13 @@ type Index struct {
 // R-tree. The build honours p.Ctx and records "prune" and "validate"
 // phase spans under p.Obs. Per pair it:
 //
-//   - drops the pair when the candidate lies outside the object's NIB
-//     at lo, or its product satisfies 1 − Π < lo;
+//   - drops the pair when the candidate lies outside the object's
+//     margin-checked NIB at lo (object.MarginTable), or its product
+//     satisfies 1 − Π < lo;
 //   - counts it as always influenced when the candidate lies inside
-//     the object's IA at hi, or its running product falls to the bar
-//     1 − hi (Lemma 4: later factors only shrink it);
+//     the object's margin-checked IA at hi, or its running product
+//     falls to the bar object.EarlyStopBar(hi) (Lemma 4: later factors
+//     only shrink it);
 //   - otherwise keeps its full product, computed with NA's float
 //     operations in position order.
 func BuildIndex(p *Problem, lo, hi float64, ct *CandTree) (*Index, error) {
@@ -85,22 +75,15 @@ func BuildIndex(p *Problem, lo, hi float64, ct *CandTree) (*Index, error) {
 		off:    make([]int, m+1),
 	}
 	// The bar decides "always influenced": a product Π ≤ bar gives
-	// 1 − Π ≥ 1 − bar in floating point. fl(1 − fl(1 − hi)) can fall an
-	// ulp short of hi (it does at hi = 0.1), so step the bar down until
-	// its complement covers hi.
-	bar := 1 - hi
-	for bar > 0 && 1-bar < hi {
-		bar = math.Nextafter(bar, 0)
-	}
+	// 1 − Π ≥ 1 − bar ≥ hi in floating point.
+	bar := object.EarlyStopBar(hi)
 	ix.top = 1 - bar
 
 	tree := p.candidateTreeFrom(ct)
 	st := &ix.stats
 	st.PairsTotal = int64(len(p.Objects)) * int64(m)
 	kept := make([][]float64, m)
-	// Squared NIB and IA radii per position count; a negative IA
-	// square disables the IA rule.
-	radii := map[int][2]float64{}
+	radii := object.NewMarginTable(p.PF, lo, hi)
 
 	pruneSp := p.Obs.Child("prune")
 	valSp := p.Obs.Child("validate")
@@ -112,25 +95,17 @@ func BuildIndex(p *Problem, lo, hi float64, ct *CandTree) (*Index, error) {
 		if ctxErr = cc.tick(); ctxErr != nil {
 			break
 		}
-		rd, ok := radii[o.N()]
-		if !ok {
-			nib, ia := nibRadius(p.PF, lo, o.N()), iaRadius(p.PF, hi, o.N())
-			rd = [2]float64{nib * nib, -1}
-			if ia >= 0 {
-				rd[1] = ia * ia
-			}
-			radii[o.N()] = rd
-		}
-		nibSq, iaSq := rd[0], rd[1]
-		mbr := o.MBR()
+		rg := radii.Regions(o)
 		var touched int64
-		tree.SearchRect(mbr.Expand(math.Sqrt(nibSq)), func(it rtree.Item) bool {
+		tree.SearchRect(rg.NIBBox(), func(it rtree.Item) bool {
 			c := it.Point
-			if mbr.MinDistSq(c) > nibSq {
+			// rg.InNIB spelled out: the method does not inline, and this
+			// test runs for every candidate in the NIB box.
+			if rg.MBR.MinDistSq(c) > rg.NIBSq {
 				return true
 			}
 			touched++
-			if mbr.MaxDistSq(c) <= iaSq {
+			if rg.InIA(c) {
 				st.PrunedByIA++
 				ix.always[it.ID]++
 				return true
@@ -173,7 +148,7 @@ func BuildIndex(p *Problem, lo, hi float64, ct *CandTree) (*Index, error) {
 	if ctxErr != nil {
 		return nil, ctxErr
 	}
-	st.DistinctN = len(radii)
+	st.DistinctN = radii.Len()
 
 	total := 0
 	for _, ps := range kept {
@@ -197,40 +172,6 @@ func (p *Problem) candidateTreeFrom(ct *CandTree) *rtree.Tree {
 		return ct.tree
 	}
 	return p.candidateTree()
-}
-
-// nibRadius returns a radius outside which an n-position object cannot
-// be influenced at any τ ≥ lo, checked by evaluating PF forward: with
-// every position beyond the radius (less the float slop of the
-// geometric test), the product stays above (1 − lo)(1 + indexMargin).
-// +Inf (no pruning) when no such radius is found.
-func nibRadius(pf probfn.Func, lo float64, n int) float64 {
-	nf := float64(n)
-	target := (1 - lo) * (1 + 2*indexMargin)
-	if target >= 1 {
-		return math.Inf(1)
-	}
-	r := pf.Inverse(1 - math.Pow(target, 1/nf))
-	if !(math.Pow(1-pf.Prob(r*(1+indexMargin/2)), nf) >= (1-lo)*(1+indexMargin)) {
-		return math.Inf(1)
-	}
-	return r * (1 + indexMargin)
-}
-
-// iaRadius returns a radius inside which an n-position object is
-// influenced at every τ ≤ hi, checked by evaluating PF forward: with
-// every position within the radius (plus the float slop of the
-// geometric test), the product stays below (1 − hi)(1 − indexMargin).
-// −1 (no candidate qualifies) when no such radius is found, e.g. when
-// hi asks for more than PF(0) gives.
-func iaRadius(pf probfn.Func, hi float64, n int) float64 {
-	nf := float64(n)
-	target := (1 - hi) * (1 - 2*indexMargin)
-	r := pf.Inverse(1 - math.Pow(target, 1/nf))
-	if math.IsInf(r, 0) || !(math.Pow(1-pf.Prob(r*(1-indexMargin/2)), nf) <= (1-hi)*(1-indexMargin)) {
-		return -1
-	}
-	return r * (1 - indexMargin)
 }
 
 // Covers reports whether the index answers τ exactly: lo ≤ τ ≤ 1 − bar.

@@ -18,11 +18,15 @@
 //     object's regions, validating only the remnant ones;
 //   - removals are pure bookkeeping.
 //
+// Every verdict is the one NA reaches for the same pair: pruning uses
+// the margin-checked radii (object.MarginTable) and validation the
+// floating-point product NA computes, so the maintained influence
+// equals a from-scratch NA solve bit for bit.
+//
 // Memory is O(Σ_O |influenced(O)|), the size of the current influence
 // relation.
 //
-// Engine is not safe for concurrent use; see the Engine type's note
-// and SafeEngine.
+// Engine is not safe for concurrent use; see the Engine type's note.
 package dynamic
 
 import (
@@ -68,20 +72,22 @@ type objState struct {
 // Engine maintains exact candidate influences under updates.
 //
 // An Engine is NOT safe for concurrent use: every method, including
-// the read-only accessors, must be serialized by the caller. Wrap it
-// in SafeEngine for a coarse mutex, or build a single-writer/
-// many-reader layer like internal/server's, which snapshots the
-// engine's state under a read lock and runs queries outside it.
+// the read-only accessors, must be serialized by the caller, e.g. by a
+// single-writer/many-reader layer like internal/server's, which
+// snapshots the engine's state under a read lock and runs queries
+// outside it.
 type Engine struct {
 	pf  probfn.Func
 	tau float64
+	// bar is the early-stop bar at tau (object.EarlyStopBar).
+	bar float64
 
 	candTree   *rtree.Tree
 	candPoints map[int]geo.Point
 	nextCandID int
 
 	objects map[int]*objState
-	radii   *object.RadiusTable
+	radii   *object.MarginTable
 
 	influence map[int]int
 	stats     Stats
@@ -99,10 +105,11 @@ func New(pf probfn.Func, tau float64) (*Engine, error) {
 	return &Engine{
 		pf:         pf,
 		tau:        tau,
+		bar:        object.EarlyStopBar(tau),
 		candTree:   rtree.New(rtree.DefaultMaxEntries),
 		candPoints: map[int]geo.Point{},
 		objects:    map[int]*objState{},
-		radii:      object.NewRadiusTable(pf, tau),
+		radii:      object.NewMarginTable(pf, tau, tau),
 		influence:  map[int]int{},
 	}, nil
 }
@@ -116,19 +123,21 @@ func (e *Engine) Objects() int { return len(e.objects) }
 // Candidates returns the number of live candidate locations.
 func (e *Engine) Candidates() int { return len(e.candPoints) }
 
-// validate runs the early-stopping influence decision for one pair.
+// validate decides Definition 2 for one pair as NA does: the product
+// runs in position order with NA's float operations, stops early once
+// it falls to the bar (which already decides 1 − Π ≥ τ), and otherwise
+// decides the full product by 1 − Π ≥ τ.
 func (e *Engine) validate(c geo.Point, o *object.Object) bool {
 	e.stats.Validations++
-	bar := 1 - e.tau
 	nonInf := 1.0
 	for _, p := range o.Positions {
 		e.stats.PositionProbes++
 		nonInf *= 1 - e.pf.Prob(c.Dist(p))
-		if nonInf <= bar {
+		if nonInf <= e.bar {
 			return true
 		}
 	}
-	return false
+	return 1-nonInf >= e.tau
 }
 
 // AddCandidate registers a new candidate location and computes its
@@ -142,8 +151,7 @@ func (e *Engine) AddCandidate(pt geo.Point) int {
 
 	inf := 0
 	for _, os := range e.objects {
-		regions := object.NewRegions(os.obj, e.radii.Get(os.obj.N()))
-		switch regions.Classify(pt) {
+		switch e.radii.Regions(os.obj).Classify(pt) {
 		case object.Influenced:
 			e.stats.PrunedByIA++
 			os.influenced[id] = true
@@ -180,7 +188,7 @@ func (e *Engine) RemoveCandidate(id int) error {
 // computeInfluenced prunes and validates one object against the
 // current candidates, returning the set it influences.
 func (e *Engine) computeInfluenced(o *object.Object, skipInfluenced map[int]bool) map[int]bool {
-	regions := object.NewRegions(o, e.radii.Get(o.N()))
+	regions := e.radii.Regions(o)
 	out := map[int]bool{}
 	touched := int64(0)
 	e.candTree.SearchRect(regions.NIBBox(), func(it rtree.Item) bool {
@@ -345,6 +353,16 @@ func (e *Engine) Best() (id, influence int, ok bool) {
 		return 0, 0, false
 	}
 	return best, bestInf, true
+}
+
+// InfluenceVector returns the current influence of each candidate in
+// ids, index-aligned; every id must be live.
+func (e *Engine) InfluenceVector(ids []int) []int {
+	out := make([]int, len(ids))
+	for i, id := range ids {
+		out[i] = e.influence[id]
+	}
+	return out
 }
 
 // Influences returns a copy of the current influence map.

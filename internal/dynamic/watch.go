@@ -15,11 +15,12 @@
 //   - one appended batch raises inf(c) by at most 1 per touched
 //     object, and only for objects whose post-append non-influence
 //     boundary (Lemma 3) still contains c — everything outside the
-//     NIB can be discounted without any probability work.
+//     NIB can be discounted without any probability work. The NIB is
+//     the margin-checked one (object.MarginTable), so a pair NA's
+//     floating-point product influences is never discounted.
 //
-// TopKGuard maintains those bounds; SafeEngine exposes them as watches
-// evaluated under the engine's own PF/τ, and internal/subscribe reuses
-// the guard for per-subscription parameters.
+// TopKGuard maintains those bounds; internal/subscribe arms one per
+// standing query, under that query's own PF/τ.
 package dynamic
 
 import (
@@ -59,10 +60,9 @@ func rankGuardCandidates(cands []GuardCandidate) {
 // from the new vector.
 //
 // A TopKGuard is not safe for concurrent use; serialize Observe with
-// the reads (SafeEngine and subscribe.Manager both run it under their
-// own synchronization).
+// the reads (subscribe.Manager runs every guard on its one worker).
 type TopKGuard struct {
-	radii *object.RadiusTable
+	radii *object.MarginTable
 	k     int // delivered prefix length, min(k, len(cands))
 
 	// cands is the full vector in rank order. Influence values are the
@@ -75,8 +75,9 @@ type TopKGuard struct {
 	// possible +1 to candidate rank i. Influence counts objects, not
 	// positions: an object flips a candidate at most once ever, so each
 	// (object, candidate) pair is credited once across every observed
-	// batch — the NIB only grows under appends, so a flip that already
-	// happened is always inside the post-append NIB that credits it.
+	// batch — influence persists under appends, so a flip that already
+	// happened leaves the candidate inside every later post-append NIB,
+	// which credits it.
 	credited map[int][]bool
 
 	broken bool
@@ -105,7 +106,7 @@ func NewTopKGuard(pf probfn.Func, tau float64, k int, cands []GuardCandidate) (*
 		upper[i] = c.Influence
 	}
 	return &TopKGuard{
-		radii:    object.NewRadiusTable(pf, tau),
+		radii:    object.NewMarginTable(pf, tau, tau),
 		k:        k,
 		cands:    ranked,
 		upper:    upper,
@@ -149,7 +150,7 @@ func (g *TopKGuard) Observe(appends []*object.Object) bool {
 			cr = make([]bool, len(g.cands))
 			g.credited[o.ID] = cr
 		}
-		regions := object.NewRegions(o, g.radii.Get(o.N()))
+		regions := g.radii.Regions(o)
 		for i := range g.cands {
 			if !cr[i] && regions.InNIB(g.cands[i].Pt) {
 				cr[i] = true
@@ -199,196 +200,4 @@ func (g *TopKGuard) canOvertake(j, i int) bool {
 		return true
 	}
 	return g.upper[j] == g.cands[i].Influence && g.cands[j].ID < g.cands[i].ID
-}
-
-// PositionAppend is one object's share of a cross-object append batch.
-type PositionAppend struct {
-	ID        int
-	Positions []geo.Point
-}
-
-// watch is one standing top-k view registered on a SafeEngine.
-type watch struct {
-	k     int
-	guard *TopKGuard
-	// evaluations counts guard rebuilds, suppressed the batches the
-	// guard absorbed without one.
-	evaluations int64
-	suppressed  int64
-}
-
-// WatchStats reports one watch's filter effectiveness.
-type WatchStats struct {
-	Evaluations int64 // ranking recomputations (registration included)
-	Suppressed  int64 // batches certified unchanged without one
-}
-
-// rankedVector snapshots the engine's exact influence vector in rank
-// order. Caller must hold the engine's lock.
-func (e *Engine) rankedVector() []GuardCandidate {
-	out := make([]GuardCandidate, 0, len(e.candPoints))
-	for id, pt := range e.candPoints {
-		out = append(out, GuardCandidate{ID: id, Pt: pt, Influence: e.influence[id]})
-	}
-	rankGuardCandidates(out)
-	return out
-}
-
-// rebuildWatch recomputes a watch's ranking from the engine's exact
-// influences and arms a fresh guard. Returns the new delivered prefix.
-func (s *SafeEngine) rebuildWatch(w *watch) []GuardCandidate {
-	vec := s.e.rankedVector()
-	w.evaluations++
-	guard, err := NewTopKGuard(s.e.pf, s.e.tau, w.k, vec)
-	if err != nil {
-		// Only possible with an empty candidate set (k>=1 was checked at
-		// registration); leave the watch unguarded so every batch
-		// re-evaluates until candidates exist.
-		w.guard = nil
-		return nil
-	}
-	w.guard = guard
-	return guard.TopK()
-}
-
-// WatchTopK registers a standing top-k watch named name, evaluated
-// under the engine's PF/τ, and returns its initial ranking (influence
-// descending, id ascending; shorter than k when fewer candidates are
-// live). Re-registering a name replaces the previous watch.
-func (s *SafeEngine) WatchTopK(name string, k int) ([]GuardCandidate, error) {
-	if k < 1 {
-		return nil, fmt.Errorf("dynamic: watch %q needs k >= 1, got %d", name, k)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.watches == nil {
-		s.watches = map[string]*watch{}
-	}
-	w := &watch{k: k}
-	top := s.rebuildWatch(w)
-	s.watches[name] = w
-	return append([]GuardCandidate(nil), top...), nil
-}
-
-// Unwatch removes a watch; unknown names are a no-op.
-func (s *SafeEngine) Unwatch(name string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.watches, name)
-}
-
-// WatchState returns a watch's current certified ranking.
-func (s *SafeEngine) WatchState(name string) ([]GuardCandidate, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.watches[name]
-	if !ok {
-		return nil, false
-	}
-	if w.guard == nil {
-		return nil, true
-	}
-	return append([]GuardCandidate(nil), w.guard.TopK()...), true
-}
-
-// WatchStatsFor returns a watch's filter counters.
-func (s *SafeEngine) WatchStatsFor(name string) (WatchStats, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	w, ok := s.watches[name]
-	if !ok {
-		return WatchStats{}, false
-	}
-	return WatchStats{Evaluations: w.evaluations, Suppressed: w.suppressed}, true
-}
-
-// AddPositionBatch applies a cross-object batch of position appends
-// atomically: every object is checked before any append, so a batch
-// naming an unknown object (or carrying an empty position list) is
-// rejected whole and the engine state is untouched. It returns the
-// names of watches whose top-k ranking actually changed.
-//
-// Watches are updated through their safe-region guards: a batch a
-// guard certifies as unable to move any influence across the watch's
-// top-k boundary is absorbed with no ranking recomputation at all.
-func (s *SafeEngine) AddPositionBatch(batch []PositionAppend) ([]string, error) {
-	if len(batch) == 0 {
-		return nil, fmt.Errorf("dynamic: empty position batch")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, a := range batch {
-		if len(a.Positions) == 0 {
-			return nil, fmt.Errorf("dynamic: batch append for object %d has no positions", a.ID)
-		}
-		if _, ok := s.e.objects[a.ID]; !ok {
-			return nil, fmt.Errorf("%w: %d", ErrUnknownObject, a.ID)
-		}
-	}
-	touched := make([]*object.Object, 0, len(batch))
-	seen := make(map[int]bool, len(batch))
-	for _, a := range batch {
-		for _, p := range a.Positions {
-			if err := s.e.AddPosition(a.ID, p); err != nil {
-				// Unreachable after the pre-check; surface it loudly if the
-				// engine ever grows another failure mode.
-				return nil, err
-			}
-		}
-		if !seen[a.ID] {
-			seen[a.ID] = true
-			touched = append(touched, s.e.objects[a.ID].obj)
-		}
-	}
-	return s.observeWatches(touched), nil
-}
-
-// observeWatches folds an applied append batch into every watch: a
-// guard that certifies the batch absorbs it; otherwise the watch's
-// ranking is recomputed from the engine's exact influences. Caller
-// must hold the write lock. Returns the names whose ranking changed,
-// sorted.
-func (s *SafeEngine) observeWatches(touched []*object.Object) []string {
-	var changed []string
-	for name, w := range s.watches {
-		if w.guard.Certified() && w.guard.Observe(touched) {
-			w.suppressed++
-			continue
-		}
-		var prev []int
-		if w.guard != nil {
-			for _, c := range w.guard.TopK() {
-				prev = append(prev, c.ID)
-			}
-		}
-		top := s.rebuildWatch(w)
-		if !sameRanking(prev, top) {
-			changed = append(changed, name)
-		}
-	}
-	sort.Strings(changed)
-	return changed
-}
-
-// refreshWatches rebuilds every guard after a non-append mutation, for
-// which no monotonicity argument holds. Caller must hold the write
-// lock.
-func (s *SafeEngine) refreshWatches() {
-	for _, w := range s.watches {
-		w.guard.Invalidate()
-		s.rebuildWatch(w)
-	}
-}
-
-// sameRanking compares a previous ranked id prefix with a new one.
-func sameRanking(prev []int, next []GuardCandidate) bool {
-	if len(prev) != len(next) {
-		return false
-	}
-	for i, id := range prev {
-		if next[i].ID != id {
-			return false
-		}
-	}
-	return true
 }

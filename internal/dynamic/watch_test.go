@@ -3,10 +3,10 @@ package dynamic
 import (
 	"math/rand"
 	"sort"
-	"sync"
 	"testing"
 
 	"pinocchio/internal/geo"
+	"pinocchio/internal/object"
 	"pinocchio/internal/probfn"
 )
 
@@ -35,22 +35,6 @@ func TestNewTopKGuardValidation(t *testing.T) {
 	g.Invalidate()
 	if g.Certified() {
 		t.Error("invalidated guard should not be certified")
-	}
-}
-
-func TestWatchTopKValidation(t *testing.T) {
-	s, err := NewSafe(probfn.DefaultPowerLaw(), 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.WatchTopK("w", 0); err == nil {
-		t.Error("k < 1 should fail")
-	}
-	if _, ok := s.WatchState("missing"); ok {
-		t.Error("unknown watch should not report state")
-	}
-	if _, ok := s.WatchStatsFor("missing"); ok {
-		t.Error("unknown watch should not report stats")
 	}
 }
 
@@ -90,13 +74,59 @@ func equalIDs(a, b []int) bool {
 	return true
 }
 
+// watch is one standing top-k view over an Engine, kept the way
+// subscribe.Manager keeps a subscription: a TopKGuard absorbs each
+// append batch it certifies, and any other batch re-ranks the engine's
+// exact vector and arms a fresh guard.
+type watch struct {
+	k           int
+	guard       *TopKGuard
+	evaluations int64 // ranking recomputations (registration included)
+	suppressed  int64 // batches certified unchanged without one
+}
+
+// engineVector is the engine's exact influence vector as guard input.
+func engineVector(e *Engine) []GuardCandidate {
+	ids, pts := e.SnapshotCandidates()
+	inf := e.Influences()
+	out := make([]GuardCandidate, len(ids))
+	for i, id := range ids {
+		out[i] = GuardCandidate{ID: id, Pt: pts[i], Influence: inf[id]}
+	}
+	return out
+}
+
+// rebuild re-ranks the engine's exact vector, arms a fresh guard and
+// returns the new ranked prefix.
+func (w *watch) rebuild(t *testing.T, e *Engine) []int {
+	t.Helper()
+	g, err := NewTopKGuard(e.pf, e.tau, w.k, engineVector(e))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w.guard = g
+	w.evaluations++
+	return watchIDs(g.TopK())
+}
+
+// observe folds one applied batch (its post-append objects) into the
+// watch and reports whether its ranking changed.
+func (w *watch) observe(t *testing.T, e *Engine, touched []*object.Object) bool {
+	t.Helper()
+	if w.guard.Certified() && w.guard.Observe(touched) {
+		w.suppressed++
+		return false
+	}
+	prev := watchIDs(w.guard.TopK())
+	return !equalIDs(prev, w.rebuild(t, e))
+}
+
 // TestWatchFilterSoundness is the safe-region filter property test:
 // stream 1200+ random position appends in random cross-object batches
-// and, after every batch, compare each watch's certified ranking
-// against a fresh ranking of the engine's exact influences. A
+// into an Engine and, after every batch, compare each guarded watch's
+// ranking against a fresh ranking of the engine's exact influences. A
 // suppressed re-solve that hides a real top-k change — the filter's
-// only possible unsoundness — would surface as a mismatch here. Run
-// under -race: readers hammer the watch API throughout the stream.
+// only possible unsoundness — would surface as a mismatch here.
 func TestWatchFilterSoundness(t *testing.T) {
 	const (
 		nObjects    = 30
@@ -105,7 +135,7 @@ func TestWatchFilterSoundness(t *testing.T) {
 		coordSpan   = 120.0
 		stepSpan    = 3.0 // random-walk step per append
 	)
-	s, err := NewSafe(probfn.DefaultPowerLaw(), 0.6)
+	e, err := New(probfn.DefaultPowerLaw(), 0.6)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,14 +144,14 @@ func TestWatchFilterSoundness(t *testing.T) {
 		return geo.Point{X: rng.Float64() * coordSpan, Y: rng.Float64() * coordSpan}
 	}
 	for i := 0; i < nCandidates; i++ {
-		s.AddCandidate(pt())
+		e.AddCandidate(pt())
 	}
 	// Objects random-walk from their seed position — moving objects take
 	// small steps, which is what gives a safe-region filter its value.
 	at := make([]geo.Point, nObjects)
 	for id := 0; id < nObjects; id++ {
 		at[id] = pt()
-		if err := s.AddObject(id, []geo.Point{at[id]}); err != nil {
+		if err := e.AddObject(id, []geo.Point{at[id]}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -133,83 +163,56 @@ func TestWatchFilterSoundness(t *testing.T) {
 		return at[id]
 	}
 
-	watches := map[string]int{"w1": 1, "w3": 3, "w5": 5}
+	watches := map[string]*watch{"w1": {k: 1}, "w3": {k: 3}, "w5": {k: 5}}
 	prev := map[string][]int{}
-	for name, k := range watches {
-		top, err := s.WatchTopK(name, k)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := rankReference(s.Influences())
-		want := ref[:min(k, len(ref))]
-		if !equalIDs(watchIDs(top), want) {
-			t.Fatalf("watch %s initial ranking %v, want %v", name, watchIDs(top), want)
+	for name, w := range watches {
+		top := w.rebuild(t, e)
+		ref := rankReference(e.Influences())
+		want := ref[:min(w.k, len(ref))]
+		if !equalIDs(top, want) {
+			t.Fatalf("watch %s initial ranking %v, want %v", name, top, want)
 		}
 		prev[name] = want
-	}
-
-	// Concurrent readers so -race exercises the watch locking.
-	stop := make(chan struct{})
-	var readers sync.WaitGroup
-	for r := 0; r < 3; r++ {
-		readers.Add(1)
-		go func() {
-			defer readers.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-					s.WatchState("w3")
-					s.WatchStatsFor("w5")
-					s.Best()
-				}
-			}
-		}()
 	}
 
 	appends := 0
 	for b := 0; b < nBatches; b++ {
 		n := 1 + rng.Intn(6)
-		batch := make([]PositionAppend, 0, n)
+		var touched []*object.Object
+		seen := map[int]bool{}
 		for i := 0; i < n; i++ {
 			id := rng.Intn(nObjects)
 			np := 1 + rng.Intn(2)
-			pts := make([]geo.Point, np)
-			for j := range pts {
-				pts[j] = step(id)
+			for j := 0; j < np; j++ {
+				if err := e.AddPosition(id, step(id)); err != nil {
+					t.Fatal(err)
+				}
 			}
 			appends += np
-			batch = append(batch, PositionAppend{ID: id, Positions: pts})
+			seen[id] = true
 		}
-		changed, err := s.AddPositionBatch(batch)
-		if err != nil {
-			t.Fatal(err)
-		}
-		changedSet := map[string]bool{}
-		for _, name := range changed {
-			changedSet[name] = true
-		}
-		ref := rankReference(s.Influences())
-		for name, k := range watches {
-			top, ok := s.WatchState(name)
-			if !ok {
-				t.Fatalf("watch %s vanished", name)
+		for id := range seen {
+			o, err := e.Object(id)
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := watchIDs(top)
-			want := ref[:min(k, len(ref))]
+			touched = append(touched, o)
+		}
+		ref := rankReference(e.Influences())
+		for name, w := range watches {
+			changed := w.observe(t, e, touched)
+			got := watchIDs(w.guard.TopK())
+			want := ref[:min(w.k, len(ref))]
 			if !equalIDs(got, want) {
 				t.Fatalf("batch %d: watch %s ranking %v, want %v", b, name, got, want)
 			}
-			if wantChanged := !equalIDs(prev[name], want); wantChanged != changedSet[name] {
+			if wantChanged := !equalIDs(prev[name], want); wantChanged != changed {
 				t.Fatalf("batch %d: watch %s change flag %v, want %v (prev %v now %v)",
-					b, name, changedSet[name], wantChanged, prev[name], want)
+					b, name, changed, wantChanged, prev[name], want)
 			}
 			prev[name] = want
 		}
 	}
-	close(stop)
-	readers.Wait()
 
 	if appends < 1000 {
 		t.Fatalf("stream too short: %d appends, want >= 1000", appends)
@@ -217,111 +220,18 @@ func TestWatchFilterSoundness(t *testing.T) {
 	// The filter must have absorbed a measurable share of batches
 	// without a ranking recomputation; otherwise it is dead weight.
 	anySuppressed := false
-	for name := range watches {
-		st, ok := s.WatchStatsFor(name)
-		if !ok {
-			t.Fatalf("watch %s has no stats", name)
-		}
+	for name, w := range watches {
 		t.Logf("watch %s: evaluations=%d suppressed=%d (of %d batches)",
-			name, st.Evaluations, st.Suppressed, nBatches)
-		if st.Suppressed > 0 {
+			name, w.evaluations, w.suppressed, nBatches)
+		if w.suppressed > 0 {
 			anySuppressed = true
 		}
-		if st.Evaluations+st.Suppressed < nBatches {
+		if w.evaluations+w.suppressed < nBatches {
 			t.Errorf("watch %s: evaluations %d + suppressed %d < %d batches",
-				name, st.Evaluations, st.Suppressed, nBatches)
+				name, w.evaluations, w.suppressed, nBatches)
 		}
 	}
 	if !anySuppressed {
 		t.Error("safe-region filter suppressed nothing across the whole stream")
-	}
-}
-
-// TestWatchRefreshOnStructuralMutations checks that mutations with no
-// monotonicity argument (candidate/object add, remove, replace) drop
-// the guard and re-rank immediately.
-func TestWatchRefreshOnStructuralMutations(t *testing.T) {
-	s, err := NewSafe(probfn.DefaultPowerLaw(), 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c0 := s.AddCandidate(geo.Point{X: 0, Y: 0})
-	c1 := s.AddCandidate(geo.Point{X: 10, Y: 10})
-	if err := s.AddObject(1, []geo.Point{{X: 0, Y: 0}}); err != nil {
-		t.Fatal(err)
-	}
-	top, err := s.WatchTopK("w", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(top) != 1 || top[0].ID != c0 {
-		t.Fatalf("initial top-1 %v, want candidate %d", top, c0)
-	}
-
-	// Removing the winner must flip the watch to the runner-up.
-	if err := s.RemoveCandidate(c0); err != nil {
-		t.Fatal(err)
-	}
-	state, ok := s.WatchState("w")
-	if !ok || len(state) != 1 || state[0].ID != c1 {
-		t.Fatalf("after removal state %v, want candidate %d", state, c1)
-	}
-
-	// Replacing the object's trail near c1 keeps c1 on top; the watch
-	// must still track the exact vector.
-	if err := s.UpdateObject(1, []geo.Point{{X: 10, Y: 10}}); err != nil {
-		t.Fatal(err)
-	}
-	state, ok = s.WatchState("w")
-	if !ok || len(state) != 1 || state[0].ID != c1 {
-		t.Fatalf("after update state %v, want candidate %d", state, c1)
-	}
-	if inf, err := s.Influence(c1); err != nil || state[0].Influence != inf {
-		t.Fatalf("watch influence %d, engine influence %d (err %v)", state[0].Influence, inf, err)
-	}
-
-	s.Unwatch("w")
-	if _, ok := s.WatchState("w"); ok {
-		t.Error("unwatched name should not report state")
-	}
-}
-
-// TestAddPositionBatchAtomicity checks all-or-nothing semantics: a
-// batch naming an unknown object or an empty position list must leave
-// the engine untouched.
-func TestAddPositionBatchAtomicity(t *testing.T) {
-	s, err := NewSafe(probfn.DefaultPowerLaw(), 0.6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.AddCandidate(geo.Point{X: 0, Y: 0})
-	if err := s.AddObject(1, []geo.Point{{X: 5, Y: 5}}); err != nil {
-		t.Fatal(err)
-	}
-
-	if _, err := s.AddPositionBatch(nil); err == nil {
-		t.Error("empty batch should fail")
-	}
-	bad := []PositionAppend{
-		{ID: 1, Positions: []geo.Point{{X: 0, Y: 0}}},
-		{ID: 99, Positions: []geo.Point{{X: 0, Y: 0}}},
-	}
-	if _, err := s.AddPositionBatch(bad); err == nil {
-		t.Error("batch with unknown object should fail")
-	}
-	empty := []PositionAppend{{ID: 1, Positions: nil}}
-	if _, err := s.AddPositionBatch(empty); err == nil {
-		t.Error("batch with empty position list should fail")
-	}
-	if obj, err := s.e.Object(1); err != nil || obj.N() != 1 {
-		t.Fatalf("rejected batches must not mutate: object has %d positions (err %v)", obj.N(), err)
-	}
-
-	good := []PositionAppend{{ID: 1, Positions: []geo.Point{{X: 0, Y: 0}, {X: 0.1, Y: 0.1}}}}
-	if _, err := s.AddPositionBatch(good); err != nil {
-		t.Fatal(err)
-	}
-	if obj, err := s.e.Object(1); err != nil || obj.N() != 3 {
-		t.Fatalf("applied batch: object has %d positions, want 3 (err %v)", obj.N(), err)
 	}
 }

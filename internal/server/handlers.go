@@ -566,11 +566,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 }
 
 // solveQuery runs the selected solver over the snapshot and shapes the
-// response. pin, pin-vo, pin-par and top-k queries are answered from
-// the per-shard influence indexes; EXPLAIN requests, NA and PIN-VO*
-// (and every query when the index cache is disabled) run the solver
-// live. Indices into the snapshot's candidate slice are translated
-// back to engine candidate ids.
+// response. pin, pin-vo, pin-par and top-k queries are answered by
+// indexInfluences: from the shard snapshots' engine vectors at the
+// engine's PF/τ, from the per-shard influence indexes otherwise;
+// EXPLAIN requests, NA and PIN-VO* (and every query when the index
+// cache is disabled) run the solver live. Indices into the snapshot's
+// candidate slice are translated back to engine candidate ids.
 func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest, pf probfn.Func) (*QueryResponse, error) {
 	tr := traceFrom(ctx)
 	root := tr.StartSpan("query")
@@ -664,34 +665,33 @@ func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest
 }
 
 func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
-	// The global winner is the argmax of the summed per-shard
-	// influences — same merge as the scatter path, same tie-break as
-	// the engine (higher influence, then smaller id).
-	merged := s.mergedInfluences()
-	best, bestInf, ok := -1, -1, false
-	for id, inf := range merged {
-		if inf > bestInf || (inf == bestInf && id < best) {
-			best, bestInf, ok = id, inf, true
-		}
-	}
-	if !ok {
+	// The global winner is the argmax of the summed shard vectors of one
+	// snapshot, so the answer and its epoch describe one population;
+	// candIDs ascend, so Argmax's smallest-index tie-break is the
+	// engine's smallest id.
+	sn := s.snapshotNow()
+	if len(sn.candIDs) == 0 {
 		writeErr(w, http.StatusNotFound, "no candidates registered")
 		return
 	}
-	sh := s.shards[0]
-	sh.mu.RLock()
-	pt, _ := sh.engine.Candidate(best)
-	sh.mu.RUnlock()
+	inf := make([]int, len(sn.candIDs))
+	for _, ps := range sn.parts {
+		for c, v := range ps.inf {
+			inf[c] += v
+		}
+	}
+	idx, bestInf := core.Argmax(inf)
+	pt := sn.candPts[idx]
 	body := map[string]any{
-		"best":  CandidateJSON{ID: best, X: pt.X, Y: pt.Y, Influence: bestInf},
+		"best":  CandidateJSON{ID: sn.candIDs[idx], X: pt.X, Y: pt.Y, Influence: bestInf},
 		"pf":    s.cfg.PF.Name(),
 		"tau":   s.cfg.Tau,
-		"epoch": s.gepoch.Load(),
+		"epoch": sn.epoch,
 	}
 	// ?explain=true re-derives the engine view with a static solve at
-	// the engine's PF/τ, attaching the same Cost ledger /v1/query
-	// carries — the prune breakdown and verdict table for the current
-	// population.
+	// the engine's PF/τ over the same snapshot, attaching the same Cost
+	// ledger /v1/query carries — the prune breakdown and verdict table
+	// for the current population.
 	if v := r.URL.Query().Get("explain"); v != "" {
 		want, err := strconv.ParseBool(v)
 		if err != nil {
@@ -699,7 +699,6 @@ func (s *Server) handleBest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if want {
-			sn := s.snapshotNow()
 			if len(sn.objects) == 0 {
 				writeErr(w, http.StatusConflict, "nothing to explain: 0 objects")
 				return
@@ -730,38 +729,25 @@ func (s *Server) handleInfluence(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	// Influence is additive over the object partition: sum the
-	// per-shard views. Every shard holds every candidate, so the
-	// not-found case is decided by shard 0.
-	inf, objects := 0, 0
-	var pt geo.Point
-	var err error
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		v, ierr := sh.engine.Influence(id)
-		if i == 0 {
-			err = ierr
-			if ierr == nil {
-				pt, _ = sh.engine.Candidate(id)
-			}
-		}
-		objects += sh.engine.Objects()
-		sh.mu.RUnlock()
-		if err != nil {
-			break
-		}
-		inf += v
-	}
-	if err != nil {
-		writeErr(w, engineErrCode(err), "%v", err)
+	// Influence is additive over the object partition: sum the shard
+	// vectors of one snapshot, which also fixes the reported epoch.
+	sn := s.snapshotNow()
+	i := sn.candIndex(id)
+	if i < 0 {
+		writeErr(w, http.StatusNotFound, "%v: %d", dynamic.ErrUnknownCandidate, id)
 		return
 	}
+	inf := 0
+	for _, ps := range sn.parts {
+		inf += ps.inf[i]
+	}
+	pt := sn.candPts[i]
 	writeJSON(w, http.StatusOK, map[string]any{
 		"candidate": CandidateJSON{ID: id, X: pt.X, Y: pt.Y, Influence: inf},
-		"objects":   objects,
+		"objects":   len(sn.objects),
 		"pf":        s.cfg.PF.Name(),
 		"tau":       s.cfg.Tau,
-		"epoch":     s.gepoch.Load(),
+		"epoch":     sn.epoch,
 	})
 }
 

@@ -171,10 +171,12 @@ func (c *indexCache) stats() (entries int, bytes int64) {
 	return c.ll.Len(), c.bytes
 }
 
-// indexServes reports whether a query runs on the influence indexes:
-// the full-vector and bound-ordered solvers (whose answers the index
-// reproduces exactly) with the index cache enabled. EXPLAIN requests,
-// NA and PIN-VO* run their solver live.
+// indexServes reports whether a query is answered by indexInfluences
+// (engine vectors or influence indexes): the full-vector and
+// bound-ordered solvers, whose answers both reproduce exactly, with
+// the index cache enabled. EXPLAIN requests, NA and PIN-VO* run their
+// solver live, and so does every query when the index cache is
+// disabled, which keeps such a server an independent reference.
 func (s *Server) indexServes(algo string, explain bool) bool {
 	if s.cfg.PlanCacheSize <= 0 || explain {
 		return false
@@ -186,17 +188,22 @@ func (s *Server) indexServes(algo string, explain bool) bool {
 	return false
 }
 
-// indexInfluences answers τ over the snapshot by summing the per-shard
-// indexes of PF pf (key pfk), building or widening each on a miss, one
-// shard after another on the caller's goroutine. With several shards
-// this is the scatter path: it counts in scatter_solves/merges, gets a
-// shard-N span per shard and a straggler record on sp. The returned
-// Stats describe this request's work: r·m pairs, plus the counters of
-// any build it ran.
+// indexInfluences answers (pf, τ) over the snapshot by summing one
+// influence vector per shard, one shard after another on the caller's
+// goroutine. At the engine's own PF/τ each shard's vector is its
+// snapshot's engine vector, read in O(m); at any other pair it comes
+// from the shard's index of PF pf (key pfk), built or widened on a
+// miss. With several shards this is the scatter path: it counts in
+// scatter_solves/merges, gets a shard-N span per shard and a straggler
+// record on sp. The returned Stats describe this request's work: r·m
+// pairs, plus the counters of any build it ran.
 func (s *Server) indexInfluences(ctx context.Context, sn *snapshot, pfk string, pf probfn.Func, tau float64, sp *obs.Span) ([]int, core.Stats, error) {
 	m := len(sn.candPts)
 	inf := make([]int, m)
 	st := core.Stats{PairsTotal: int64(len(sn.objects)) * int64(m)}
+	// pf comes from probfn.ByName, whose families are all comparable
+	// structs, so this interface comparison cannot panic.
+	engine := pf == s.cfg.PF && tau == s.cfg.Tau
 	scatter := len(sn.parts) > 1
 	if scatter {
 		s.scatterSolves.Add(1)
@@ -215,23 +222,32 @@ func (s *Server) indexInfluences(ctx context.Context, sn *snapshot, pfk string, 
 			psp.SetAttr("shard", i)
 			psp.SetAttr("objects", len(ps.objects))
 		}
-		ix, built, err := s.indexes.get(ctx, indexKey{snap: ps, pf: pfk}, tau, func(lo, hi float64) (*core.Index, error) {
-			bstart := time.Now()
-			ix, err := core.BuildIndex(&core.Problem{
-				Objects:    ps.objects,
-				Candidates: sn.candPts,
-				PF:         pf,
-				Ctx:        ctx,
-				Obs:        psp,
-			}, lo, hi, sn.candTree())
-			if err == nil {
-				recordPlanBuild(time.Since(bstart))
+		var ix *core.Index
+		var built bool
+		var err error
+		if engine {
+			for c, v := range ps.inf {
+				inf[c] += v
 			}
-			return ix, err
-		})
-		if err == nil {
-			recordPlanCache(!built)
-			ix.AddInfluences(tau, inf)
+		} else {
+			ix, built, err = s.indexes.get(ctx, indexKey{snap: ps, pf: pfk}, tau, func(lo, hi float64) (*core.Index, error) {
+				bstart := time.Now()
+				ix, err := core.BuildIndex(&core.Problem{
+					Objects:    ps.objects,
+					Candidates: sn.candPts,
+					PF:         pf,
+					Ctx:        ctx,
+					Obs:        psp,
+				}, lo, hi, sn.candTree())
+				if err == nil {
+					recordPlanBuild(time.Since(bstart))
+				}
+				return ix, err
+			})
+			if err == nil {
+				recordPlanCache(!built)
+				ix.AddInfluences(tau, inf)
+			}
 		}
 		if scatter {
 			psp.End()
@@ -260,9 +276,12 @@ func (s *Server) indexInfluences(ctx context.Context, sn *snapshot, pfk string, 
 		core.RecordScatter(sp, durs)
 		s.recordShardScatter(durs)
 	}
-	if miss {
+	switch {
+	case engine:
+		// No index was consulted: the trace carries no plan-cache outcome.
+	case miss:
 		traceFrom(ctx).SetPlanCache("miss")
-	} else {
+	default:
 		traceFrom(ctx).SetPlanCache("hit")
 	}
 	return inf, st, nil

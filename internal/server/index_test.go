@@ -67,6 +67,11 @@ func TestPlanCacheZeroDisabled(t *testing.T) {
 	}
 }
 
+// indexTau is a τ off the test servers' engine τ (0.7): at the
+// engine's own PF/τ, queries read the engines' vectors, so tests of the
+// influence index and of its build spans query here.
+const indexTau = 0.69
+
 // queryBody builds a /v1/query body; no_cache keeps the result cache
 // out of the way so every request exercises a real solve.
 func queryBody(alg string, tau float64, k int) string {
@@ -161,11 +166,11 @@ func TestPlanCacheKeying(t *testing.T) {
 		body    string
 		entries int
 	}{
-		{`{"algorithm":"pin-vo","tau":0.7,"no_cache":true}`, 1},
+		{fmt.Sprintf(`{"algorithm":"pin-vo","tau":%g,"no_cache":true}`, indexTau), 1},
 		{`{"algorithm":"pin-vo","tau":0.5,"no_cache":true}`, 1},
 		{`{"algorithm":"pin-vo","pf":"linear","rho":0.9,"lambda":6,"tau":0.5,"no_cache":true}`, 2},
 		{`{"algorithm":"pin-vo","pf":"powerlaw","rho":0.5,"lambda":1.25,"tau":0.5,"no_cache":true}`, 3},
-		{`{"algorithm":"pin-vo","tau":0.7,"no_cache":true}`, 3},
+		{fmt.Sprintf(`{"algorithm":"pin-vo","tau":%g,"no_cache":true}`, indexTau), 3},
 	}
 	for i, pc := range params {
 		var got, want QueryResponse
@@ -191,7 +196,7 @@ func TestPlanCacheKeying(t *testing.T) {
 // the mutation.
 func TestPlanCacheEpochInvalidation(t *testing.T) {
 	s := newTestServer(t, Config{})
-	body := queryBody("pin", 0.7, 0)
+	body := queryBody("pin", indexTau, 0)
 
 	var before QueryResponse
 	do(t, s, "POST", "/v1/query", body, &before)

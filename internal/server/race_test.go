@@ -123,18 +123,21 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 
 // TestServeStressNo500 is the snapshot/index race detector: on a
 // sharded server, concurrent queries of every algorithm (top-1 and
-// top-k, several PFs and τ values, with and without explain), position
-// appends, ingest batches and one standing subscription all go through
+// top-k, several PFs and τ values — the engine's own among them — with
+// and without explain), position appends, ingest batches and two
+// standing subscriptions (one at the engine's τ) all go through
 // ServeHTTP at once. No request may fail with a 500, and once the
-// writers stop, an index-served answer equals the live solve.
+// writers stop, index- and engine-served answers equal the live solve.
 func TestServeStressNo500(t *testing.T) {
 	objs, cands := testPopulation(t, 60, 25)
 	s, err := New(Config{Shards: 3, MaxInflight: 64}, objs, cands)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec := do(t, s, "POST", "/v1/subscribe", `{"tau":0.6,"k":3}`, nil); rec.Code != http.StatusCreated {
-		t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+	for _, body := range []string{`{"tau":0.6,"k":3}`, fmt.Sprintf(`{"tau":%g,"k":3}`, engineTau)} {
+		if rec := do(t, s, "POST", "/v1/subscribe", body, nil); rec.Code != http.StatusCreated {
+			t.Fatalf("subscribe: %d %s", rec.Code, rec.Body.String())
+		}
 	}
 	check := func(what string, rec *httptest.ResponseRecorder) {
 		if rec.Code >= 500 {
@@ -156,8 +159,12 @@ func TestServeStressNo500(t *testing.T) {
 				if i%3 == 0 && alg != "pin-vo*" {
 					k = 3
 				}
+				pf, tau := pfs[(g+2*i)%len(pfs)], 0.2+0.1*float64((g+i)%7)
+				if i%4 == 3 {
+					pf, tau = ``, engineTau // served from the engine vectors
+				}
 				body := fmt.Sprintf(`{"algorithm":%q,%s"tau":%g,"k":%d,"no_cache":%v,"explain":%v}`,
-					alg, pfs[(g+2*i)%len(pfs)], 0.2+0.1*float64((g+i)%7), k, i%2 == 0, i%5 == 0)
+					alg, pf, tau, k, i%2 == 0, i%5 == 0)
 				check("query "+body, do(t, s, "POST", "/v1/query", body, nil))
 			}
 		}(g)
@@ -182,12 +189,13 @@ func TestServeStressNo500(t *testing.T) {
 	for _, body := range []string{
 		`{"algorithm":"pin-vo","tau":0.45,"k":4,"no_cache":true}`,
 		`{"algorithm":"pin","pf":"linear","rho":0.9,"lambda":6,"tau":0.3,"no_cache":true}`,
+		queryBody("pin-par", engineTau, 4),
 	} {
 		var served, live QueryResponse
 		do(t, s, "POST", "/v1/query", body, &served)
 		do(t, s, "POST", "/v1/query", body[:len(body)-1]+`,"explain":true}`, &live)
 		if served.Best != live.Best || !reflect.DeepEqual(served.TopK, live.TopK) {
-			t.Errorf("%s: indexed answer %+v %+v, live %+v %+v", body, served.Best, served.TopK, live.Best, live.TopK)
+			t.Errorf("%s: served answer %+v %+v, live %+v %+v", body, served.Best, served.TopK, live.Best, live.TopK)
 		}
 	}
 

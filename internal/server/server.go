@@ -21,9 +21,10 @@
 // Object mutations lock exactly one shard — writers on different
 // shards run concurrently — while candidate mutations lock all shards
 // under the topology lock. Queries snapshot the per-shard populations
-// and solve outside any lock on immutable data: per-shard influence
-// indexes (or live per-shard solves) sum exactly, since influence is
-// additive over objects. Every mutation bumps its shard's epoch; a
+// together with each engine's influence vector and solve outside any
+// lock on immutable data: per-shard engine vectors (at the engine's
+// PF/τ), influence indexes (at any other) or live per-shard solves sum
+// exactly, since influence is additive over objects. Every mutation bumps its shard's epoch; a
 // shard's next snapshot replaces the old one together with the
 // indexes it owned, and cached results are keyed by the epoch vector,
 // so a mutation invalidates them without blocking in-flight queries.
@@ -60,8 +61,10 @@ import (
 // Config parameterizes a Server. The zero value of optional fields
 // selects the documented defaults.
 type Config struct {
-	// PF and Tau configure the dynamic engine's influence tracking
-	// (the /v1/influence and /v1/best views). PF defaults to the
+	// PF and Tau configure the dynamic engine's influence tracking:
+	// the /v1/influence and /v1/best views, and the /v1/query answers
+	// and subscription re-solves at exactly this PF and τ, which read
+	// the engine's vectors instead of an index. PF defaults to the
 	// paper's power law, Tau to 0.7.
 	PF  probfn.Func
 	Tau float64
@@ -91,10 +94,11 @@ type Config struct {
 
 	// PlanCacheSize bounds how many influence indexes are held
 	// (default 32; negative disables them, and every query then runs
-	// its solver live). An index answers every τ of an interval for
-	// one (shard snapshot, PF, ρ, λ), so pin, pin-vo, pin-par and top-k
-	// queries and subscription re-solves at any τ reduce to per-shard
-	// lookups; a τ outside the interval widens it with one rebuild.
+	// its solver live, engine PF/τ included). An index answers every τ
+	// of an interval for one (shard snapshot, PF, ρ, λ), so pin,
+	// pin-vo, pin-par and top-k queries and subscription re-solves at
+	// any other PF/τ than the engine's reduce to per-shard lookups; a τ
+	// outside the interval widens it with one rebuild.
 	PlanCacheSize int
 
 	// MaxBodyBytes bounds request bodies (default 1 MiB).

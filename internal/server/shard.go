@@ -1,15 +1,16 @@
 // Shard-per-core serving (DESIGN.md §13): the object population Ω is
 // partitioned across N shards by dynamic.ShardOf, each shard owning
 // its own engine, epoch, WAL stream and snapshot (and, through the
-// snapshot, its influence indexes). Object mutations lock exactly one
-// shard, so writers on different shards run concurrently instead of
-// serializing behind one global lock; candidate mutations (which every
-// shard must see — each engine holds the full candidate set) lock all
-// shards in ascending order under the topology write lock. Queries
-// assemble a combined snapshot from the per-shard snapshots and sum
-// per-shard influence — from each shard snapshot's influence index, or
-// for live full-vector solves through core.SolveSharded (influence is
-// additive over any partition of Ω).
+// snapshot, its engine influence vector and influence indexes). Object
+// mutations lock exactly one shard, so writers on different shards run
+// concurrently instead of serializing behind one global lock;
+// candidate mutations (which every shard must see — each engine holds
+// the full candidate set) lock all shards in ascending order under the
+// topology write lock. Queries assemble a combined snapshot from the
+// per-shard snapshots and sum per-shard influence — from each shard
+// snapshot's engine vector at the engine's PF/τ, from its influence
+// index at any other PF/τ, or for live full-vector solves through
+// core.SolveSharded (influence is additive over any partition of Ω).
 //
 // Consistency: a combined snapshot is NOT one instant of wall time —
 // shard A's half may be older than shard B's — but every mutation
@@ -78,17 +79,22 @@ type shardSnap struct {
 	epoch   int64
 	cs      *candSet
 	objects []*object.Object
+	// inf is the shard engine's influence vector at the engine's PF/τ,
+	// aligned to cs.ids. It is read under the same lock as objects, so
+	// both describe one epoch.
+	inf []int
 
 	// retired is set, under the index cache's mutex, once a newer
 	// snapshot replaced this one: builds over it stay uncached.
 	retired bool
 }
 
-// snapNow returns the shard's current object snapshot, reusing the
-// cached one while the epoch and candidate set have not moved. The
-// snapshot is published with CompareAndSwap under the shard's read
-// lock, which pins the epoch, so every reader at one epoch shares one
-// snapshot — and therefore one set of index builds.
+// snapNow returns the shard's current snapshot, reusing the cached one
+// while the epoch and candidate set have not moved. The snapshot is
+// published with CompareAndSwap under the shard's read lock, which
+// pins the epoch, so every reader at one epoch shares one snapshot —
+// and therefore one set of index builds. Caller holds topoMu, so cs
+// is the engine's candidate set.
 func (sh *shard) snapNow(cs *candSet) *shardSnap {
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -96,7 +102,12 @@ func (sh *shard) snapNow(cs *candSet) *shardSnap {
 	if old != nil && old.epoch == sh.epoch && old.cs == cs {
 		return old
 	}
-	sp := &shardSnap{epoch: sh.epoch, cs: cs, objects: sh.engine.SnapshotObjects()}
+	sp := &shardSnap{
+		epoch:   sh.epoch,
+		cs:      cs,
+		objects: sh.engine.SnapshotObjects(),
+		inf:     sh.engine.InfluenceVector(cs.ids),
+	}
 	if !sh.snap.CompareAndSwap(old, sp) {
 		// A concurrent reader at this epoch published first.
 		return sh.snap.Load()
@@ -571,19 +582,4 @@ func (s *Server) recordShardScatter(durs []time.Duration) {
 			sh.scatterMaxNS.CompareAndSwap(old, int64(d))
 		}
 	}
-}
-
-// mergedInfluences sums the per-shard influence relations into one
-// map — the incremental-engine counterpart of the scatter-gather
-// merge, used by /v1/best and /v1/influence.
-func (s *Server) mergedInfluences() map[int]int {
-	merged := map[int]int{}
-	for _, sh := range s.shards {
-		sh.mu.RLock()
-		for c, v := range sh.engine.Influences() {
-			merged[c] += v
-		}
-		sh.mu.RUnlock()
-	}
-	return merged
 }

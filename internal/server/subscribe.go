@@ -35,10 +35,11 @@ var sseHeartbeat = 15 * time.Second
 // against the current snapshot and return the FULL ranked influence
 // vector (influence descending, id ascending) — the subscription
 // guard needs exact lower bounds for every candidate, not just the
-// delivered prefix. pin and pin-par read the per-shard influence
-// indexes, so a burst of re-solves at one epoch builds each changed
-// shard's index once and the rest are lookups; na (and every query
-// with the index cache disabled) solves live.
+// delivered prefix. pin and pin-par go through indexInfluences: at the
+// engine's PF/τ they read the shard snapshots' engine vectors, with no
+// build; at any other pair a burst of re-solves at one epoch builds
+// each changed shard's index once and the rest are lookups. na (and
+// every query with the index cache disabled) solves live.
 func (s *Server) SolveTopK(q *subscribe.Query) (*subscribe.Solution, error) {
 	pf, err := probfn.ByName(q.PF, q.RhoVal(), q.LambdaVal())
 	if err != nil {

@@ -70,7 +70,7 @@ func TestRequestIDEchoAndGeneration(t *testing.T) {
 func TestTraceEndpointsEndToEnd(t *testing.T) {
 	s := newTestServer(t, Config{})
 
-	rec := doTraced(t, s, "POST", "/v1/query", queryBody("pin", 0.7, 0), "trace-me")
+	rec := doTraced(t, s, "POST", "/v1/query", queryBody("pin", indexTau, 0), "trace-me")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query: HTTP %d: %s", rec.Code, rec.Body.String())
 	}
@@ -106,7 +106,7 @@ func TestTraceEndpointsEndToEnd(t *testing.T) {
 	}
 
 	// A second identical request replays the cached plan.
-	doTraced(t, s, "POST", "/v1/query", queryBody("pin", 0.7, 0), "trace-me-2")
+	doTraced(t, s, "POST", "/v1/query", queryBody("pin", indexTau, 0), "trace-me-2")
 	rec = doTraced(t, s, "GET", "/v1/debug/traces/trace-me-2", "", "")
 	if err := json.Unmarshal(rec.Body.Bytes(), &tr); err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestSlowQueryLog(t *testing.T) {
 	defer slog.SetDefault(old)
 
 	s := newTestServer(t, Config{SlowQuery: time.Nanosecond})
-	rec := doTraced(t, s, "POST", "/v1/query", queryBody("pin-vo", 0.7, 0), "so-slow")
+	rec := doTraced(t, s, "POST", "/v1/query", queryBody("pin-vo", indexTau, 0), "so-slow")
 	if rec.Code != http.StatusOK {
 		t.Fatalf("query: HTTP %d", rec.Code)
 	}

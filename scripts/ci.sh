@@ -28,13 +28,19 @@ echo "== sharded parity -race"
 # the race detector even when the suite above is trimmed locally.
 go test -race -run 'TestSharded' ./internal/server
 
-echo "== influence index exactness -race"
+echo "== influence exactness (index, engine, guard) -race"
 # The index answers every τ of an interval from sorted non-influence
-# products; these pin it to NA bit for bit (the boundary probe and the
-# randomized property over every PF family), and the serving stress
-# test drives index builds, snapshot swaps and mutations concurrently.
+# products, and the incremental engine maintains the influence vector
+# that queries at its own PF/τ read; these pin both to NA bit for bit (the
+# boundary probes, the randomized property over every PF family, and
+# the served engine path against a live server and NA over a random
+# ingest stream). The guard probe checks that a subscription's safe
+# region never certifies a top-k that NA's verdict has flipped, and the
+# serving stress test drives index builds, engine-vector reads,
+# snapshot swaps and mutations concurrently.
 go test -race -run 'TestIndexBoundaryProbe|TestIndexMatchesNA|TestPinocchioVOTieBreak' ./internal/core
-go test -race -run 'TestServeStressNo500' ./internal/server
+go test -race -run 'TestEngineBoundaryProbe|TestGuardBoundaryProbe' ./internal/dynamic
+go test -race -run 'TestServeStressNo500|TestEnginePathParity' ./internal/server
 
 echo "== optimize dominance -race"
 # The bound-soundness property: the candidate-free optimizer's answer

@@ -58,18 +58,32 @@ echo "== cached vs uncached parity"
 # The same query answered three ways must agree on the best candidate:
 # an influence-index build, an index lookup, and a result-cache hit.
 # no_cache bypasses only the result cache, so the first two read the
-# index.
-q='{"tau":0.7,"algorithm":"pin-vo","no_cache":true}'
+# index. τ 0.65 is off the engine's 0.7, where queries read the
+# engine's influence vectors instead of an index.
+q='{"tau":0.65,"algorithm":"pin-vo","no_cache":true}'
 best() { sed 's/^{"best":{\([^}]*\)}.*/\1/'; }
 b1=$(curl -fsS "http://$addr/v1/query" -d "$q" | best)
 b2=$(curl -fsS "http://$addr/v1/query" -d "$q" | best)
-b3=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin-vo"}' | best)
-b4=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin-vo"}' | best)
+b3=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.65,"algorithm":"pin-vo"}' | best)
+b4=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.65,"algorithm":"pin-vo"}' | best)
 echo "index-build:  $b1"
 echo "index-lookup: $b2"
 echo "result-cache: $b4"
 if [ "$b1" != "$b2" ] || [ "$b1" != "$b3" ] || [ "$b1" != "$b4" ]; then
     echo "parity violation between cached and uncached solves" >&2
+    exit 1
+fi
+
+echo "== engine-vector parity"
+# At the engine's own PF/τ a query reads the engine's maintained
+# influence vectors, the same ones /v1/best reads, so both must name
+# the same winner with the same influence.
+e1=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin","no_cache":true}' | best)
+e2=$(curl -fsS "http://$addr/v1/best" | best)
+echo "query: $e1"
+echo "best:  $e2"
+if [ "$e1" != "$e2" ]; then
+    echo "parity violation between the engine-served query and /v1/best" >&2
     exit 1
 fi
 
