@@ -21,8 +21,10 @@ import (
 	"pinocchio/internal/dataset"
 	"pinocchio/internal/dynamic"
 	"pinocchio/internal/experiments"
+	"pinocchio/internal/geo"
 	"pinocchio/internal/object"
 	"pinocchio/internal/obs"
+	"pinocchio/internal/optimize"
 	"pinocchio/internal/probfn"
 )
 
@@ -480,4 +482,37 @@ func BenchmarkDynamicEngine(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkOptimize times candidate-free placement as the daemon's
+// optimize route runs it for the paper-sweep analyst: Foursquare ×1,
+// τ 0.7, max_refine 200, bounded to each cell of a 4×3 grid over the
+// frame. One op places in all twelve cells. Run with -cpu 1,2: at one
+// CPU it shows the refinement's per-object tests alone, at two the
+// split cover scans on top.
+func BenchmarkOptimize(b *testing.B) {
+	ds, err := dataset.Generate(dataset.FoursquareLike())
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf := probfn.DefaultPowerLaw()
+	rects := optimize.CollectRects(ds.Objects, pf, 0.7)
+	w, h := ds.Extent.Width()/4, ds.Extent.Height()/3
+	var cells []geo.Rect
+	for i := 0; i < 4; i++ {
+		for j := 0; j < 3; j++ {
+			lo := geo.Point{X: ds.Extent.Min.X + float64(i)*w, Y: ds.Extent.Min.Y + float64(j)*h}
+			cells = append(cells, geo.Rect{Min: lo, Max: geo.Point{X: lo.X + w, Y: lo.Y + h}})
+		}
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := range cells {
+			if _, err := optimize.Optimize(&optimize.Problem{
+				Rects: rects, PF: pf, Tau: 0.7, Bounds: &cells[j], MaxRefine: 200,
+			}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }

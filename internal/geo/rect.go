@@ -154,10 +154,13 @@ func (r Rect) MaxDist(p Point) float64 {
 	return math.Sqrt(r.MaxDistSq(p))
 }
 
-// MaxDistSq returns MaxDist squared.
+// MaxDistSq returns MaxDist squared. On a non-inverted r the larger
+// signed axis offset is the larger absolute one, so the builtin max
+// gives the same bits as comparing absolute values and keeps the
+// method within the inlining budget.
 func (r Rect) MaxDistSq(p Point) float64 {
-	dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
-	dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+	dx := max(p.X-r.Min.X, r.Max.X-p.X)
+	dy := max(p.Y-r.Min.Y, r.Max.Y-p.Y)
 	return dx*dx + dy*dy
 }
 

@@ -167,6 +167,38 @@ func TestMinMaxDistBracketCorners(t *testing.T) {
 	}
 }
 
+// TestMaxDistSqMatchesAbsForm pins MaxDistSq's signed-offset form to
+// the absolute-offset definition bit for bit on non-inverted rects,
+// including point rects and points on an edge or corner, so the
+// pruning verdicts that compare it against μ² cannot move.
+func TestMaxDistSqMatchesAbsForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 20000; i++ {
+		r := randRect(rng)
+		switch i % 4 {
+		case 1:
+			r.Max = r.Min // single-position object
+		case 2:
+			r.Max.Y = r.Min.Y // collinear positions
+		}
+		p := Point{smallCoord(rng), smallCoord(rng)}
+		switch i % 5 {
+		case 1:
+			p.X = r.Min.X
+		case 2:
+			p = r.Max
+		case 3:
+			p = r.Center()
+		}
+		dx := math.Max(math.Abs(p.X-r.Min.X), math.Abs(p.X-r.Max.X))
+		dy := math.Max(math.Abs(p.Y-r.Min.Y), math.Abs(p.Y-r.Max.Y))
+		want := dx*dx + dy*dy
+		if got := r.MaxDistSq(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MaxDistSq(%v, %v) = %v, absolute form gives %v", r, p, got, want)
+		}
+	}
+}
+
 func TestMinDistZeroInside(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {

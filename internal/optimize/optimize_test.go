@@ -38,15 +38,20 @@ func randObjects(rng *rand.Rand, count int) []*object.Object {
 func exactInfluence(objs []*object.Object, pf probfn.Func, tau float64, c geo.Point) int {
 	inf := 0
 	for _, o := range objs {
-		q := 1.0
-		for _, p := range o.Positions {
-			q *= 1 - pf.Prob(p.Dist(c))
-		}
-		if 1-q >= tau {
+		if influenced(o, pf, tau, c) {
 			inf++
 		}
 	}
 	return inf
+}
+
+// influenced applies the cumulative influence definition to one object.
+func influenced(o *object.Object, pf probfn.Func, tau float64, c geo.Point) bool {
+	q := 1.0
+	for _, p := range o.Positions {
+		q *= 1 - pf.Prob(p.Dist(c))
+	}
+	return 1-q >= tau
 }
 
 // TestOptimizeDominatesGrid is the bound-soundness property test: the

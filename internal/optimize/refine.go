@@ -3,9 +3,11 @@ package optimize
 import (
 	"container/heap"
 	"math"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"pinocchio/internal/geo"
-	"pinocchio/internal/object"
 )
 
 // Refinement turns the sweep's slab bounds into an exact answer by
@@ -20,9 +22,9 @@ import (
 // candidate set, which is what the dominance property test and the
 // dense-grid bench hold it to.
 //
-// Per-object cell tests, cheapest first (each proves "no point of the
-// cell is influenced by O", which inherits to subcells, so failing
-// objects leave the cover set entirely):
+// Per-object cell tests, cheapest first. The first three each prove
+// "no point of the cell is influenced by O", which inherits to
+// subcells, so failing objects leave the cover set entirely:
 //
 //  1. NIB box vs cell intersection (the sweep's own geometry);
 //  2. exact Euclidean distance between cell and MBR vs μ (tighter
@@ -33,6 +35,23 @@ import (
 //     so this dominates Pr_c(O) for every c in the cell; as r → 0 it
 //     converges to the exact cumulative probability at the center,
 //     which is what closes the bound gap at fine scales.
+//
+// The fourth proves the opposite: when the farthest cell-to-MBR
+// distance is ≤ μ, every point of the cell lies in O's influence arcs
+// (Lemma 2 lifted from a point to a cell), so O influences the whole
+// cell and every subcell. Such an object is tallied in the cell's sure
+// count instead of being scanned, and leaves the cover set too. A
+// cell's bound is sure + |cover|, and its exact influence at a point
+// is sure + the exact count over the cover: the point's own maxDist to
+// the MBR never exceeds the cell's in floating point (each difference,
+// square and sum rounds monotonically), so the point IA test agrees.
+//
+// Every cover scan (a cell bound, an exact evaluation) splits into
+// blocks of scanBlock objects claimed by up to GOMAXPROCS goroutines.
+// A block's result depends only on its own objects and is written to
+// its own slot; joining the slots in block order reproduces the serial
+// scan's counts, cover order and Cost counters exactly, whatever the
+// interleaving, so the answer does not depend on the core count.
 
 // refineResult is what the branch-and-bound returns.
 type refineResult struct {
@@ -43,12 +62,13 @@ type refineResult struct {
 	outstanding int
 }
 
-// cell is one branch-and-bound node. A nil cover means "the full live
-// population" (initial slabs), avoiding len(slabs) copies of the root
-// index set.
+// cell is one branch-and-bound node. Every object outside cover either
+// influences each point of rect (counted in sure) or none of it.
+// Initial slabs share the live index set as their cover.
 type cell struct {
 	rect  geo.Rect
 	ub    int
+	sure  int
 	cover []int32
 }
 
@@ -113,7 +133,7 @@ func refine(p *Problem, rs []ObjectRects, live []int32, slabs []slab, seeds []ge
 	h := make(cellHeap, 0, len(slabs))
 	for _, sl := range slabs {
 		if sl.ub > res.bestInf {
-			h = append(h, cell{rect: sl.rect, ub: sl.ub})
+			h = append(h, cell{rect: sl.rect, ub: sl.ub, cover: live})
 		}
 	}
 	heap.Init(&h)
@@ -141,7 +161,7 @@ func refine(p *Problem, rs []ObjectRects, live []int32, slabs []slab, seeds []ge
 		p.Cost.addCell()
 
 		center := c.rect.Center()
-		if inf := exactAt(p, rs, coverOf(c, live), center); inf > res.bestInf {
+		if inf := c.sure + exactAt(p, rs, c.cover, center); inf > res.bestInf {
 			res.bestInf, res.bestPoint, res.bestCell = inf, center, c.rect
 		}
 		if c.rect.HalfDiagonal() <= minCell {
@@ -158,9 +178,8 @@ func refine(p *Problem, rs []ObjectRects, live []int32, slabs []slab, seeds []ge
 				stuck = true
 				continue
 			}
-			ub, cover := cellBound(p, rs, coverOf(c, live), q)
-			if ub > res.bestInf {
-				heap.Push(&h, cell{rect: q, ub: ub, cover: cover})
+			if child := cellBound(p, rs, c, q); child.ub > res.bestInf {
+				heap.Push(&h, child)
 			}
 		}
 		if stuck && c.ub > maxClosedUB {
@@ -238,14 +257,6 @@ func clampTo(c geo.Point, r geo.Rect) geo.Point {
 	return c
 }
 
-// coverOf resolves a cell's cover set (nil means the live root set).
-func coverOf(c cell, live []int32) []int32 {
-	if c.cover == nil {
-		return live
-	}
-	return c.cover
-}
-
 // halves splits a rect at the midpoint of its longer dimension. The
 // initial slabs are full-height strips; a quadrant split would keep
 // their extreme aspect ratio forever, whereas halving the long side
@@ -266,39 +277,67 @@ func halves(r geo.Rect) [2]geo.Rect {
 	}
 }
 
-// cellBound computes a sound upper bound on inf anywhere in rect and
-// the surviving cover set, scanning only the parent's cover.
-func cellBound(p *Problem, rs []ObjectRects, parent []int32, rect geo.Rect) (int, []int32) {
+// cellBound bounds inf anywhere in rect, a subcell of parent, scanning
+// only the parent's cover: the child inherits the parent's sure count,
+// adds the cover objects that turn sure, and keeps the ones that
+// survive every pruning test as its own cover.
+func cellBound(p *Problem, rs []ObjectRects, parent cell, rect geo.Rect) cell {
 	half := rect.HalfDiagonal()
 	center := rect.Center()
-	var cover []int32
-	var tests, probes int64
-	for _, idx := range parent {
-		r := &rs[idx]
-		tests++
-		if !r.NIB.Intersects(rect) {
-			continue
-		}
-		mbr := r.Obj.MBR()
-		if rectMinDistSq(rect, mbr) > r.Radius*r.Radius {
-			continue
-		}
-		// The probabilistic test costs a position scan; only run it
-		// once the cell is small against the object's radius, where it
-		// has discriminating power. (The bound is sound at any size —
-		// the gate only skips scans that cannot prune.)
-		if half <= r.Radius {
-			ok, n := probReachable(p, r.Obj.Positions, center, half)
-			probes += n
-			if !ok {
+	type block struct {
+		sure   int
+		probes int64
+		cover  []int32
+	}
+	kept := make([]int32, len(parent.cover))
+	blocks := make([]block, blockCount(len(parent.cover)))
+	scanBlocks(len(parent.cover), func(b, lo, hi int) {
+		out := block{cover: kept[lo:lo:hi]}
+		for _, idx := range parent.cover[lo:hi] {
+			r := &rs[idx]
+			if !r.NIB.Intersects(rect) {
 				continue
 			}
+			mbr := r.Obj.MBR()
+			rr := r.Radius * r.Radius
+			if rectMinDistSq(rect, mbr) > rr {
+				continue
+			}
+			if rectMaxDistSq(rect, mbr) <= rr {
+				// Lemma 2 over the whole cell: O influences every point.
+				out.sure++
+				continue
+			}
+			// The probabilistic test costs a position scan; only run it
+			// once the cell is small against the object's radius, where
+			// it has discriminating power. (The bound is sound at any
+			// size — the gate only skips scans that cannot prune.)
+			if half <= r.Radius {
+				ok, n := probReachable(p, r.Obj.Positions, center, half)
+				out.probes += n
+				if !ok {
+					continue
+				}
+			}
+			out.cover = append(out.cover, idx)
 		}
-		cover = append(cover, idx)
+		blocks[b] = out
+	})
+	c := cell{rect: rect, sure: parent.sure}
+	var probes int64
+	n := 0
+	for _, bl := range blocks {
+		c.sure += bl.sure
+		probes += bl.probes
+		n += copy(kept[n:], bl.cover)
 	}
-	p.Cost.addCellTests(tests)
+	// Copied out at its own size: kept spans the parent's whole cover,
+	// and the cell may wait in the heap for the rest of the run.
+	c.cover = append([]int32(nil), kept[:n]...)
+	c.ub = c.sure + len(c.cover)
+	p.Cost.addCellTests(int64(len(parent.cover)))
 	p.Cost.addProbes(probes)
-	return len(cover), cover
+	return c
 }
 
 // probReachable reports whether any point of a cell (center, half
@@ -329,35 +368,103 @@ func probReachable(p *Problem, positions []geo.Point, center geo.Point, r float6
 // early once the partial product clears τ (Lemma 4 / Strategy 2) —
 // the remaining factors can only push the probability higher.
 func exactAt(p *Problem, rs []ObjectRects, cover []int32, c geo.Point) int {
-	inf := 0
-	var probes int64
-	for _, idx := range cover {
-		r := &rs[idx]
-		reg := object.Regions{MBR: r.Obj.MBR(), Radius: r.Radius}
-		switch reg.Classify(c) {
-		case object.Influenced:
-			inf++
-		case object.NeedsValidation:
+	type block struct {
+		inf    int
+		probes int64
+	}
+	blocks := make([]block, blockCount(len(cover)))
+	scanBlocks(len(cover), func(b, lo, hi int) {
+		var out block
+		for _, idx := range cover[lo:hi] {
+			r := &rs[idx]
+			mbr := r.Obj.MBR()
+			rr := r.Radius * r.Radius
+			// object.Regions.Classify spelled out: the method does not
+			// inline, and this test runs for every object scanned.
+			if mbr.MaxDistSq(c) <= rr {
+				out.inf++
+				continue
+			}
+			if mbr.MinDistSq(c) > rr {
+				continue
+			}
 			q := 1.0
 			for _, pos := range r.Obj.Positions {
-				probes++
+				out.probes++
 				q *= 1 - p.PF.Prob(c.Dist(pos))
 				if 1-q >= p.Tau {
-					inf++
+					out.inf++
 					break
 				}
 			}
 		}
+		blocks[b] = out
+	})
+	inf := 0
+	var probes int64
+	for _, bl := range blocks {
+		inf += bl.inf
+		probes += bl.probes
 	}
 	p.Cost.addSolve(int64(len(cover)))
 	p.Cost.addProbes(probes)
 	return inf
 }
 
+// Cover scans run in blocks of scanBlock objects; a scan shorter than
+// splitMin stays on the calling goroutine, where a hand-off would cost
+// more than the scan.
+const (
+	scanBlock = 64
+	splitMin  = 4 * scanBlock
+)
+
+// blockCount is the number of scan blocks covering n objects.
+func blockCount(n int) int { return (n + scanBlock - 1) / scanBlock }
+
+// scanBlocks calls f(b, lo, hi) once for every block b = [lo, hi) of
+// [0, n), on up to GOMAXPROCS goroutines that claim blocks in turn,
+// and returns when all are done. f must write only block b's results.
+func scanBlocks(n int, f func(b, lo, hi int)) {
+	nb := blockCount(n)
+	run := func(b int) { f(b, b*scanBlock, min((b+1)*scanBlock, n)) }
+	workers := min(runtime.GOMAXPROCS(0), nb)
+	if n < splitMin || workers < 2 {
+		for b := 0; b < nb; b++ {
+			run(b)
+		}
+		return
+	}
+	var next atomic.Int64
+	claim := func() {
+		for b := int(next.Add(1) - 1); b < nb; b = int(next.Add(1) - 1) {
+			run(b)
+		}
+	}
+	var wg sync.WaitGroup
+	wg.Add(workers - 1)
+	for w := 1; w < workers; w++ {
+		go func() {
+			defer wg.Done()
+			claim()
+		}()
+	}
+	claim()
+	wg.Wait()
+}
+
 // rectMinDistSq is the squared Euclidean distance between two rects
 // (0 when they intersect).
 func rectMinDistSq(a, b geo.Rect) float64 {
-	dx := math.Max(0, math.Max(a.Min.X-b.Max.X, b.Min.X-a.Max.X))
-	dy := math.Max(0, math.Max(a.Min.Y-b.Max.Y, b.Min.Y-a.Max.Y))
+	dx := max(0, a.Min.X-b.Max.X, b.Min.X-a.Max.X)
+	dy := max(0, a.Min.Y-b.Max.Y, b.Min.Y-a.Max.Y)
+	return dx*dx + dy*dy
+}
+
+// rectMaxDistSq is the squared largest Euclidean distance between a
+// point of a and a point of b.
+func rectMaxDistSq(a, b geo.Rect) float64 {
+	dx := max(a.Max.X-b.Min.X, b.Max.X-a.Min.X)
+	dy := max(a.Max.Y-b.Min.Y, b.Max.Y-a.Min.Y)
 	return dx*dx + dy*dy
 }

@@ -47,7 +47,8 @@ type OptimizeRequest struct {
 	// TopR is how many top sweep regions to report (default 8).
 	TopR int `json:"top_r"`
 	// MaxRefine caps branch-and-bound cell expansions (default
-	// 100000; negative skips refinement — sweep bound only).
+	// optimize.DefaultMaxRefine; negative skips refinement — sweep
+	// bound only).
 	MaxRefine int `json:"max_refine"`
 	// Bounds optionally constrains the placement to a rectangle.
 	Bounds *RectJSON `json:"bounds,omitempty"`

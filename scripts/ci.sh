@@ -46,8 +46,12 @@ echo "== optimize dominance -race"
 # The bound-soundness property: the candidate-free optimizer's answer
 # (plus its reported gap) must dominate any dense-grid enumeration.
 # Randomized, and the refinement heap is the newest pointer-heavy
-# code, so run it under the race detector explicitly.
+# code, so run it under the race detector explicitly. Refinement splits
+# its cover scans across goroutines: the determinism test requires the
+# same Result and Cost at GOMAXPROCS 1, 2 and 4, repeated so the
+# detector sees many block interleavings.
 go test -race -run 'TestOptimizeDominatesGrid' ./internal/optimize
+go test -race -count=10 -run 'TestOptimizeDeterministicAcrossProcs' ./internal/optimize
 
 echo "== fuzz smoke"
 # Short fuzz runs over the WAL frame, record, and sweep-event codecs:
