@@ -13,6 +13,8 @@ package pinocchio_test
 
 import (
 	"math/rand"
+	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"testing"
@@ -482,6 +484,62 @@ func BenchmarkDynamicEngine(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkSeed times the daemon's fresh-boot seed as paper-sweep
+// boots it: dynamic.Seed over the Foursquare ×1 population with 600
+// sampled candidates into two shard engines, at the daemon's default
+// PF and τ 0.7. Run with -cpu 1,2: at one CPU the shards seed in turn,
+// at two side by side.
+func BenchmarkSeed(b *testing.B) {
+	ds, err := dataset.Generate(dataset.FoursquareLike())
+	if err != nil {
+		b.Fatal(err)
+	}
+	cs, err := dataset.SampleCandidates(ds, 600, rand.New(rand.NewSource(1)))
+	if err != nil {
+		b.Fatal(err)
+	}
+	pf := probfn.DefaultPowerLaw()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engines := make([]*dynamic.Engine, 2)
+		for k := range engines {
+			if engines[k], err = dynamic.New(pf, 0.7); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := dynamic.Seed(engines, ds.Objects, cs.Points); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkReadCSV times loading the Foursquare ×1 check-in log from a
+// CSV file, the daemon's -data path.
+func BenchmarkReadCSV(b *testing.B) {
+	ds, err := dataset.Generate(dataset.FoursquareLike())
+	if err != nil {
+		b.Fatal(err)
+	}
+	path := filepath.Join(b.TempDir(), "foursquare.csv")
+	f, err := os.Create(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ds.WriteCSV(f); err != nil {
+		b.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		b.Fatal(err)
+	}
+	src := dataset.Source{Path: path}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := src.Load(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkOptimize times candidate-free placement as the daemon's

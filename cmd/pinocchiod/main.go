@@ -314,24 +314,20 @@ func run(ctx context.Context, opts options) error {
 		}
 		if results[0].Fresh {
 			// First boot on this directory: seed from the dataset —
-			// objects routed to their owning shards, candidates into
-			// every shard — and persist the seed population as
-			// checkpoint zero per shard, so later boots never re-read
-			// the dataset.
+			// candidates into every shard, objects routed to their
+			// owning shards (dynamic.Seed) — and persist the seed
+			// population as checkpoint zero per shard, so later boots
+			// never re-read the dataset.
 			objs, cands, name, err := loadWorkload(opts)
 			if err != nil {
 				return err
 			}
-			for _, o := range objs {
-				eng := results[dynamic.ShardOf(o.ID, len(results))].Engine
-				if err := eng.AddObject(o.ID, o.Positions); err != nil {
-					return fmt.Errorf("seeding object %d: %w", o.ID, err)
-				}
+			engines := make([]*dynamic.Engine, len(results))
+			for i, res := range results {
+				engines[i] = res.Engine
 			}
-			for _, c := range cands {
-				for _, res := range results {
-					res.Engine.AddCandidate(c)
-				}
+			if err := dynamic.Seed(engines, objs, cands); err != nil {
+				return err
 			}
 			for i, st := range stores {
 				if err := st.Checkpoint(results[i].Engine.ExportState(), 0, 0); err != nil {

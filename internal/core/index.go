@@ -99,9 +99,7 @@ func BuildIndex(p *Problem, lo, hi float64, ct *CandTree) (*Index, error) {
 		var touched int64
 		tree.SearchRect(rg.NIBBox(), func(it rtree.Item) bool {
 			c := it.Point
-			// rg.InNIB spelled out: the method does not inline, and this
-			// test runs for every candidate in the NIB box.
-			if rg.MBR.MinDistSq(c) > rg.NIBSq {
+			if !rg.InNIB(c) {
 				return true
 			}
 			touched++

@@ -432,6 +432,10 @@ func TestReadCSVErrors(t *testing.T) {
 		{"negative id", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n-1,0,1,1,1,1\n"},
 		{"wrong field count", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,1\n"},
 		{"no rows", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n"},
+		{"NaN x", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,NaN,1,1,1\n"},
+		{"Inf y", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,1,Inf,1,1\n"},
+		{"-Infinity venue x", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,1,1,-Infinity,1\n"},
+		{"NaN venue y on a later row", "user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,1,1,1,1\n1,1,2,2,2,nan\n"},
 	}
 	for _, tt := range cases {
 		t.Run(tt.name, func(t *testing.T) {

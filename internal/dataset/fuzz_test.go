@@ -2,13 +2,17 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
+
+	"pinocchio/internal/geo"
 )
 
 // FuzzReadCSV hardens the check-in parser against malformed input: it
-// must return an error or a consistent dataset, never panic, and a
-// successfully parsed dataset must survive a write/read round trip.
+// must return an error or a consistent dataset with finite positions
+// and venue points, never panic, and a successfully parsed dataset
+// must survive a write/read round trip.
 func FuzzReadCSV(f *testing.F) {
 	f.Add("user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,1.5,2.5,1.5,2.5\n")
 	f.Add("user_id,venue_id,x_km,y_km,venue_x_km,venue_y_km\n0,0,1,2,1,2\n1,0,1.1,2.1,1,2\n")
@@ -41,9 +45,22 @@ func FuzzReadCSV(f *testing.F) {
 		if sum != ds.TotalCheckIns() {
 			t.Fatalf("venue check-ins %d != total %d", sum, ds.TotalCheckIns())
 		}
+		finite := func(p geo.Point) bool {
+			return !math.IsNaN(p.X) && !math.IsInf(p.X, 0) && !math.IsNaN(p.Y) && !math.IsInf(p.Y, 0)
+		}
 		for _, o := range ds.Objects {
 			if o.N() == 0 {
 				t.Fatal("object with no positions")
+			}
+			for _, p := range o.Positions {
+				if !finite(p) {
+					t.Fatalf("object %d: non-finite position %v", o.ID, p)
+				}
+			}
+		}
+		for _, v := range ds.Venues {
+			if !finite(v.Point) {
+				t.Fatalf("venue %d: non-finite point %v", v.ID, v.Point)
 			}
 		}
 		// Round trip.

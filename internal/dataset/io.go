@@ -1,9 +1,12 @@
 package dataset
 
 import (
+	"cmp"
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"strconv"
 
 	"pinocchio/internal/geo"
@@ -16,7 +19,7 @@ import (
 var csvHeader = []string{"user_id", "venue_id", "x_km", "y_km", "venue_x_km", "venue_y_km"}
 
 // maxReasonableID bounds user and venue ids accepted by ReadCSV; the
-// loader allocates dense slices keyed by id.
+// loader allocates a dense slice keyed by venue id.
 const maxReasonableID = 50_000_000
 
 // WriteCSV serializes the dataset as a check-in log, one row per
@@ -46,7 +49,12 @@ func (d *Dataset) WriteCSV(w io.Writer) error {
 
 // ReadCSV parses a check-in log written by WriteCSV (or any file in
 // the same schema) and reconstructs the dataset: objects from per-user
-// rows, venues with check-in counts from per-venue rows.
+// rows (positions in row order, objects by ascending user id), venues
+// with check-in and distinct-visitor counts from per-venue rows.
+//
+// Memory is linear in the rows and the largest venue id, never in the
+// largest user id: rows are grouped by user with a sort, not a table
+// indexed by user id.
 func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 	cr := csv.NewReader(r)
 	cr.FieldsPerRecord = len(csvHeader)
@@ -59,17 +67,8 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: unexpected header %v", header)
 	}
 
-	type venueAcc struct {
-		point    geo.Point
-		count    int
-		visitors map[int]bool
-	}
-	venueByID := map[int]*venueAcc{}
-	userPositions := map[int][]geo.Point{}
+	var venues []Venue
 	var checkIns []CheckIn
-	maxVenue := -1
-	maxUser := -1
-
 	for line := 2; ; line++ {
 		rec, err := cr.Read()
 		if err == io.EOF {
@@ -92,6 +91,11 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 			if err != nil {
 				return nil, fmt.Errorf("dataset: line %d: field %s: %w", line, csvHeader[2+i], err)
 			}
+			// ParseFloat accepts NaN and infinities, which no distance
+			// or rectangle test can order.
+			if math.IsNaN(coords[i]) || math.IsInf(coords[i], 0) {
+				return nil, fmt.Errorf("dataset: line %d: field %s: non-finite value %q", line, csvHeader[2+i], rec[2+i])
+			}
 		}
 		if uid < 0 || vid < 0 {
 			return nil, fmt.Errorf("dataset: line %d: negative id", line)
@@ -103,49 +107,66 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 			return nil, fmt.Errorf("dataset: line %d: id beyond %d", line, maxReasonableID)
 		}
 		fix := geo.Point{X: coords[0], Y: coords[1]}
-		vp := geo.Point{X: coords[2], Y: coords[3]}
-		va, ok := venueByID[vid]
-		if !ok {
-			va = &venueAcc{point: vp, visitors: map[int]bool{}}
-			venueByID[vid] = va
+		if vid >= len(venues) {
+			venues = append(venues, make([]Venue, vid+1-len(venues))...)
 		}
-		va.count++
-		va.visitors[uid] = true
-		userPositions[uid] = append(userPositions[uid], fix)
+		v := &venues[vid]
+		if v.CheckIns == 0 {
+			// A venue's canonical point is the one its first row gives.
+			v.Point = geo.Point{X: coords[2], Y: coords[3]}
+		}
+		v.CheckIns++
 		checkIns = append(checkIns, CheckIn{UserID: uid, VenueID: vid, Point: fix})
-		if vid > maxVenue {
-			maxVenue = vid
-		}
-		if uid > maxUser {
-			maxUser = uid
-		}
 	}
 	if len(checkIns) == 0 {
 		return nil, fmt.Errorf("dataset: no check-ins in input")
 	}
-
-	ds := &Dataset{Name: name, CheckIns: checkIns}
-	ds.Venues = make([]Venue, maxVenue+1)
-	for vid := range ds.Venues {
-		ds.Venues[vid].ID = vid
-		if va, ok := venueByID[vid]; ok {
-			ds.Venues[vid].Point = va.point
-			ds.Venues[vid].CheckIns = va.count
-			ds.Venues[vid].Visitors = len(va.visitors)
-		}
+	for vid := range venues {
+		venues[vid].ID = vid
 	}
-	extent := geo.EmptyRect()
-	for uid := 0; uid <= maxUser; uid++ {
-		pts, ok := userPositions[uid]
-		if !ok {
-			continue // sparse user ids tolerated
+
+	// Group the rows by user: row indices sorted by (user id, row), so
+	// each user's positions keep their row order.
+	order := make([]int, len(checkIns))
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(checkIns[a].UserID, checkIns[b].UserID); c != 0 {
+			return c
 		}
-		o, err := object.New(uid, pts)
+		return cmp.Compare(a, b)
+	})
+
+	ds := &Dataset{Name: name, CheckIns: checkIns, Venues: venues}
+	// One backing array holds every user's positions, in group order.
+	// Each object gets a window capped at its own length, so appending
+	// to one object's positions cannot overwrite the next object's.
+	positions := make([]geo.Point, len(order))
+	// visited[vid] is the group number (from 1) of the last user
+	// counted as a visitor of vid, so each user counts once per venue.
+	visited := make([]int, len(venues))
+	extent := geo.EmptyRect()
+	group := 0
+	for lo := 0; lo < len(order); {
+		uid := checkIns[order[lo]].UserID
+		group++
+		hi := lo
+		for ; hi < len(order) && checkIns[order[hi]].UserID == uid; hi++ {
+			ci := &checkIns[order[hi]]
+			positions[hi] = ci.Point
+			if visited[ci.VenueID] != group {
+				visited[ci.VenueID] = group
+				venues[ci.VenueID].Visitors++
+			}
+		}
+		o, err := object.New(uid, positions[lo:hi:hi])
 		if err != nil {
 			return nil, err
 		}
 		ds.Objects = append(ds.Objects, o)
 		extent = extent.Union(o.MBR())
+		lo = hi
 	}
 	ds.Extent = extent
 	return ds, nil

@@ -53,7 +53,7 @@ type Stats struct {
 	Validations    int64 // exact cumulative-probability evaluations
 	PositionProbes int64 // PF evaluations inside validations
 	PrunedByIA     int64 // pairs settled by the influence-arcs rule
-	PrunedByNIB    int64 // pairs settled without touching them
+	PrunedByNIB    int64 // pairs settled outside the non-influence boundary
 }
 
 // objState is one tracked moving object and the candidates it
@@ -91,6 +91,11 @@ type Engine struct {
 
 	influence map[int]int
 	stats     Stats
+
+	// ids is a buffer computeInfluenced reuses: the candidates one
+	// object influences, collected so its set can be made at its final
+	// size.
+	ids []int
 }
 
 // New returns an empty engine for the given probability function and
@@ -151,7 +156,15 @@ func (e *Engine) AddCandidate(pt geo.Point) int {
 
 	inf := 0
 	for _, os := range e.objects {
-		switch e.radii.Regions(os.obj).Classify(pt) {
+		regions := e.radii.Regions(os.obj)
+		// The NIB box first, as AddObject's range query applies it: a
+		// point an ulp past the box edge can still pass the NIB test,
+		// and both orders must weigh the same pairs.
+		if !regions.NIBBox().ContainsPoint(pt) {
+			e.stats.PrunedByNIB++
+			continue
+		}
+		switch regions.Classify(pt) {
 		case object.Influenced:
 			e.stats.PrunedByIA++
 			os.influenced[id] = true
@@ -186,31 +199,40 @@ func (e *Engine) RemoveCandidate(id int) error {
 }
 
 // computeInfluenced prunes and validates one object against the
-// current candidates, returning the set it influences.
+// current candidates, returning the set it influences. Each candidate
+// it decides is counted once: by its verdict inside the NIB box, as
+// PrunedByNIB outside it. Candidates kept through skipInfluenced are
+// not decided again.
 func (e *Engine) computeInfluenced(o *object.Object, skipInfluenced map[int]bool) map[int]bool {
 	regions := e.radii.Regions(o)
-	out := map[int]bool{}
+	e.ids = e.ids[:0]
 	touched := int64(0)
 	e.candTree.SearchRect(regions.NIBBox(), func(it rtree.Item) bool {
 		touched++
 		if skipInfluenced != nil && skipInfluenced[it.ID] {
 			// Already influenced and influence is monotone under the
 			// update being processed: stays influenced.
-			out[it.ID] = true
+			e.ids = append(e.ids, it.ID)
 			return true
 		}
 		switch regions.Classify(it.Point) {
 		case object.Influenced:
 			e.stats.PrunedByIA++
-			out[it.ID] = true
+			e.ids = append(e.ids, it.ID)
 		case object.NeedsValidation:
 			if e.validate(it.Point, o) {
-				out[it.ID] = true
+				e.ids = append(e.ids, it.ID)
 			}
+		default:
+			e.stats.PrunedByNIB++
 		}
 		return true
 	})
 	e.stats.PrunedByNIB += int64(len(e.candPoints)) - touched
+	out := make(map[int]bool, len(e.ids))
+	for _, id := range e.ids {
+		out[id] = true
+	}
 	return out
 }
 

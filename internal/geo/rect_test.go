@@ -199,6 +199,44 @@ func TestMaxDistSqMatchesAbsForm(t *testing.T) {
 	}
 }
 
+// TestMinDistSqMatchesAxisForm pins MinDistSq's max form to the
+// axisDist definition bit for bit on non-inverted rects, including
+// point rects, points on an edge or inside, and EmptyRect, so the NIB
+// verdicts that compare it against a squared radius cannot move.
+func TestMinDistSqMatchesAxisForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	for i := 0; i < 20000; i++ {
+		r := randRect(rng)
+		switch i % 5 {
+		case 1:
+			r.Max = r.Min // single-position object
+		case 2:
+			r.Max.Y = r.Min.Y // collinear positions
+		case 3:
+			r = EmptyRect()
+		}
+		p := Point{smallCoord(rng), smallCoord(rng)}
+		if !r.IsEmpty() { // EmptyRect's corners are infinite: keep p random
+			switch i % 7 {
+			case 1:
+				p.X = r.Min.X
+			case 2:
+				p = r.Max
+			case 3:
+				p = r.Center()
+			case 4:
+				p.Y = math.Nextafter(r.Max.Y, math.Inf(1))
+			}
+		}
+		dx := axisDist(p.X, r.Min.X, r.Max.X)
+		dy := axisDist(p.Y, r.Min.Y, r.Max.Y)
+		want := dx*dx + dy*dy
+		if got := r.MinDistSq(p); math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("MinDistSq(%v, %v) = %v, axisDist form gives %v", r, p, got, want)
+		}
+	}
+}
+
 func TestMinDistZeroInside(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for i := 0; i < 100; i++ {

@@ -405,12 +405,11 @@ func (s *Server) workStatus() map[string]any {
 	}
 }
 
-// New builds a server over an initial population: the moving objects
-// are routed to their owning shards (dynamic.ShardOf) and the
-// candidate locations are inserted into every shard engine (all
-// engines run the same id sequence, so candidates get ids 0..len-1 on
-// each). Either slice may be empty; queries return 409 until both
-// populations are non-empty.
+// New builds a server over an initial population, seeded by
+// dynamic.Seed: the candidate locations go into every shard engine
+// (ids 0..len-1 on each) and the moving objects to their owning
+// shards (dynamic.ShardOf). Either slice may be empty; queries return
+// 409 until both populations are non-empty.
 func New(cfg Config, objects []*object.Object, candidates []geo.Point) (*Server, error) {
 	cfg = cfg.withDefaults()
 	engines := make([]*dynamic.Engine, cfg.Shards)
@@ -421,16 +420,8 @@ func New(cfg Config, objects []*object.Object, candidates []geo.Point) (*Server,
 		}
 		engines[i] = eng
 	}
-	for _, o := range objects {
-		eng := engines[dynamic.ShardOf(o.ID, cfg.Shards)]
-		if err := eng.AddObject(o.ID, o.Positions); err != nil {
-			return nil, fmt.Errorf("server: seeding object %d: %w", o.ID, err)
-		}
-	}
-	for _, c := range candidates {
-		for _, eng := range engines {
-			eng.AddCandidate(c)
-		}
+	if err := dynamic.Seed(engines, objects, candidates); err != nil {
+		return nil, fmt.Errorf("server: %w", err)
 	}
 	return NewWithShards(cfg, engines, make([]int64, cfg.Shards))
 }

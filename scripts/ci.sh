@@ -28,7 +28,7 @@ echo "== sharded parity -race"
 # the race detector even when the suite above is trimmed locally.
 go test -race -run 'TestSharded' ./internal/server
 
-echo "== influence exactness (index, engine, guard) -race"
+echo "== influence exactness (index, engine, seed, guard) -race"
 # The index answers every τ of an interval from sorted non-influence
 # products, and the incremental engine maintains the influence vector
 # that queries at its own PF/τ read; these pin both to NA bit for bit (the
@@ -37,9 +37,13 @@ echo "== influence exactness (index, engine, guard) -race"
 # ingest stream). The guard probe checks that a subscription's safe
 # region never certifies a top-k that NA's verdict has flipped, and the
 # serving stress test drives index builds, engine-vector reads,
-# snapshot swaps and mutations concurrently.
+# snapshot swaps and mutations concurrently. The seed parity test
+# requires the boot seed (object-major, one goroutine per shard) to
+# build the state and counters the candidate-major loop builds; it is
+# repeated so the detector sees many shard interleavings.
 go test -race -run 'TestIndexBoundaryProbe|TestIndexMatchesNA|TestPinocchioVOTieBreak' ./internal/core
 go test -race -run 'TestEngineBoundaryProbe|TestGuardBoundaryProbe' ./internal/dynamic
+go test -race -count=10 -run 'TestSeedMatchesCandidateMajor' ./internal/dynamic
 go test -race -run 'TestServeStressNo500|TestEnginePathParity' ./internal/server
 
 echo "== optimize dominance -race"
@@ -54,11 +58,13 @@ go test -race -run 'TestOptimizeDominatesGrid' ./internal/optimize
 go test -race -count=10 -run 'TestOptimizeDeterministicAcrossProcs' ./internal/optimize
 
 echo "== fuzz smoke"
-# Short fuzz runs over the WAL frame, record, and sweep-event codecs:
-# enough to catch coarse regressions without holding CI hostage.
+# Short fuzz runs over the WAL frame, record, and sweep-event codecs
+# and the check-in CSV loader: enough to catch coarse regressions
+# without holding CI hostage.
 go test -run '^$' -fuzz '^FuzzFrame$' -fuzztime 10s ./internal/wal
 go test -run '^$' -fuzz '^FuzzRecord$' -fuzztime 10s ./internal/store
 go test -run '^$' -fuzz '^FuzzEventCodec$' -fuzztime 10s ./internal/optimize
+go test -run '^$' -fuzz '^FuzzReadCSV$' -fuzztime 10s ./internal/dataset
 
 echo "== perfbench self-test"
 # perfbench is a module of its own, so the root ./... above neither
