@@ -17,6 +17,17 @@ const (
 	mDynCandidates  = "pinocchio_dynamic_candidates"
 )
 
+// RecordObjects sets the tracked-objects gauge. An engine sets it to
+// its own count after every update; a caller that spreads one
+// population over several engines sets it back to the total after
+// each update.
+func RecordObjects(n int) {
+	if !obs.Enabled() {
+		return
+	}
+	obs.Default().Gauge(mDynObjects, "Moving objects currently tracked.", nil).Set(float64(n))
+}
+
 // finishOp folds one engine update into the default registry: the op
 // count and latency, the validation/probe work it caused (the delta
 // against the pre-op counters) and the live population gauges. Meant
@@ -36,6 +47,6 @@ func (e *Engine) finishOp(op string, start time.Time, pre Stats) {
 		Add(e.stats.Validations - pre.Validations)
 	r.Counter(mDynProbes, "PF evaluations caused by engine updates.", lbl).
 		Add(e.stats.PositionProbes - pre.PositionProbes)
-	r.Gauge(mDynObjects, "Moving objects currently tracked.", nil).Set(float64(len(e.objects)))
+	RecordObjects(len(e.objects))
 	r.Gauge(mDynCandidates, "Candidate locations currently live.", nil).Set(float64(len(e.candPoints)))
 }

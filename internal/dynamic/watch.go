@@ -19,8 +19,10 @@
 //     the margin-checked one (object.MarginTable), so a pair NA's
 //     floating-point product influences is never discounted.
 //
-// TopKGuard maintains those bounds; internal/subscribe arms one per
-// standing query, under that query's own PF/τ.
+// TopKGuard maintains those bounds. The daemon does not arm it: a
+// subscription re-solves on every fresh batch, which at the engine's
+// PF/τ is an O(m) read of the maintained influence. Only perfbench's
+// traced replay (perftrace) arms one per standing query, to time it.
 package dynamic
 
 import (

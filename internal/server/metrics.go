@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"time"
 
+	"pinocchio/internal/dynamic"
 	"pinocchio/internal/obs"
 	"pinocchio/internal/optimize"
 )
@@ -118,6 +119,21 @@ func recordMutation(op string, epoch int64, dur time.Duration) {
 	r.Histogram(mMutationSecs, "Mutation wall time in seconds (lock wait included).",
 		obs.DefBuckets, obs.Labels{"op": op}).Observe(dur.Seconds())
 	r.Gauge(mEpoch, "Current dataset mutation epoch.", nil).Set(float64(epoch))
+}
+
+// recordObjects exports the object total over every shard as
+// pinocchio_dynamic_objects. Each shard engine sets that gauge to its
+// own count as it applies an op, so the server puts the total back
+// after boot, recovery and every mutation; objMu orders each load with
+// its Set, so a writer holding an older total cannot overwrite a newer
+// one.
+func (s *Server) recordObjects() {
+	if !obs.Enabled() {
+		return
+	}
+	s.objMu.Lock()
+	defer s.objMu.Unlock()
+	dynamic.RecordObjects(int(s.objects.Load()))
 }
 
 // recordOptimize folds one served optimize run into the registry:

@@ -286,6 +286,11 @@ type Server struct {
 	candGen int64
 	cands   atomic.Pointer[candSet]
 
+	// objects is the population total over every shard, moved by object
+	// mutations; objMu orders its exports (recordObjects).
+	objects atomic.Int64
+	objMu   sync.Mutex
+
 	// snap caches the latest combined snapshot; rebuilt lazily when any
 	// shard moved. Concurrent rebuilds are harmless (last store wins,
 	// all stores are equivalent for one epoch vector).
@@ -488,8 +493,10 @@ func NewWithShards(cfg Config, engines []*dynamic.Engine, epochs []int64) (*Serv
 		}
 		s.shards[i] = sh
 		total += epochs[i]
+		s.objects.Add(int64(eng.Objects()))
 	}
 	s.gepoch.Store(total)
+	s.recordObjects()
 	// Build identity is constant for the process; registering here keeps
 	// every server (including tests) exporting it without a cmd hook.
 	obs.RegisterBuildInfo(obs.Default())

@@ -12,6 +12,10 @@
 // index at any other PF/τ, or for live full-vector solves through
 // core.SolveSharded (influence is additive over any partition of Ω).
 //
+// Every applied mutation, on one shard or all, sends the subscription
+// manager one BatchNote at the new global epoch; each subscription
+// solved below that epoch re-solves against the next snapshot.
+//
 // Consistency: a combined snapshot is NOT one instant of wall time —
 // shard A's half may be older than shard B's — but every mutation
 // touches exactly one shard's objects, so any combination of
@@ -253,25 +257,26 @@ func (sn *snapshot) assembledFrom(cs *candSet, parts []*shardSnap) bool {
 // Returns the engine-assigned id (meaningful for add_candidate), the
 // global epoch after the mutation (Σ shard epochs; candidate records
 // advance it by the shard count), and the WAL sequence the record was
-// logged at on its — for candidate records: first — shard.
+// logged at on its — for candidate records: first — shard. Every
+// applied record sends the subscription manager one BatchNote at that
+// epoch.
 func (s *Server) mutate(ctx context.Context, rec *store.Record) (id int, epoch int64, seq uint64, err error) {
 	start := time.Now()
 	tr := traceFrom(ctx)
 	root := tr.StartSpan("mutate")
 	root.SetAttr("op", rec.Op.String())
-	var note *subscribe.BatchNote
 	var walDur time.Duration
 	switch rec.Op {
 	case store.OpAddCandidate, store.OpRemoveCandidate:
 		id, epoch, seq, walDur, err = s.mutateAllShards(rec)
-		if err == nil && s.subs != nil {
-			note = &subscribe.BatchNote{Epoch: epoch, At: start, DirtyAll: true}
-		}
 	case store.OpIngestBatch:
-		id, epoch, seq, walDur, note, err = s.mutateIngest(rec, start)
+		id, epoch, seq, walDur, err = s.mutateIngest(rec)
 	default:
-		id, epoch, seq, walDur, note, err = s.mutateOneShard(s.shardFor(int(rec.ID)), rec, start)
+		id, epoch, seq, walDur, err = s.mutateOneShard(s.shardFor(int(rec.ID)), rec)
 	}
+	// Also on error: a record rejected midway may already have applied
+	// ops, each of which reset the gauge to one shard's count.
+	s.recordObjects()
 	if walDur > 0 {
 		// The WAL-append stage on the request's own trace; the same
 		// duration rides the BatchNote into the notify pipeline's trace,
@@ -284,43 +289,39 @@ func (s *Server) mutate(ctx context.Context, rec *store.Record) (id int, epoch i
 	recordMutation(rec.Op.String(), epoch, time.Since(start))
 	tr.SetEpoch(epoch)
 	tr.SetWALSeq(seq)
-	if note != nil {
-		note.WALDur = walDur
-		note.WALSeq = seq
+	if s.subs != nil {
+		note := subscribe.BatchNote{Epoch: epoch, At: start, WALDur: walDur, WALSeq: seq}
 		if tr != nil {
 			note.TraceID = tr.ID
 		}
-		s.subs.Notify(*note)
+		s.subs.Notify(note)
 	}
 	s.maybeCheckpoint()
 	return id, epoch, seq, err
 }
 
 // mutateOneShard is the single-shard path (all object records): log to
-// the shard's stream, apply to its engine, bump its epoch. Rejected
-// records stay in the log — replay rejects them identically.
-func (s *Server) mutateOneShard(sh *shard, rec *store.Record, start time.Time) (id int, epoch int64, seq uint64, walDur time.Duration, note *subscribe.BatchNote, err error) {
+// the shard's stream, apply to its engine, bump its epoch and fold the
+// shard's population change into the object total. Rejected records
+// stay in the log — replay rejects them identically.
+func (s *Server) mutateOneShard(sh *shard, rec *store.Record) (id int, epoch int64, seq uint64, walDur time.Duration, err error) {
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if sh.store != nil {
 		walStart := time.Now()
 		if seq, err = sh.store.Append(rec); err != nil {
-			sh.mu.Unlock()
-			return 0, s.gepoch.Load(), 0, 0, nil, err
+			return 0, s.gepoch.Load(), 0, 0, err
 		}
 		walDur = time.Since(walStart)
 	}
+	before := sh.engine.Objects()
 	id, err = rec.Apply(sh.engine)
-	if err == nil {
-		sh.epoch++
-		epoch = s.gepoch.Add(1)
-		if s.subs != nil {
-			note = noteFor(sh.engine, rec, epoch, start)
-		}
-	} else {
-		epoch = s.gepoch.Load()
+	s.objects.Add(int64(sh.engine.Objects() - before))
+	if err != nil {
+		return id, s.gepoch.Load(), seq, walDur, err
 	}
-	sh.mu.Unlock()
-	return id, epoch, seq, walDur, note, err
+	sh.epoch++
+	return id, s.gepoch.Add(1), seq, walDur, nil
 }
 
 // mutateAllShards is the candidate-record path: every shard applies
@@ -389,7 +390,7 @@ func (s *Server) mutateAllShards(rec *store.Record) (id int, epoch int64, seq ui
 // other, and replay would apply a half the live path refused. After
 // validation each shard logs and applies only its own appends, one
 // epoch bump per involved shard.
-func (s *Server) mutateIngest(rec *store.Record, start time.Time) (id int, epoch int64, seq uint64, walDur time.Duration, note *subscribe.BatchNote, err error) {
+func (s *Server) mutateIngest(rec *store.Record) (id int, epoch int64, seq uint64, walDur time.Duration, err error) {
 	n := len(s.shards)
 	groups := make(map[int][]store.Append)
 	for _, a := range rec.Appends {
@@ -398,7 +399,7 @@ func (s *Server) mutateIngest(rec *store.Record, start time.Time) (id int, epoch
 	}
 	if len(groups) == 1 {
 		for si := range groups {
-			return s.mutateOneShard(s.shards[si], rec, start)
+			return s.mutateOneShard(s.shards[si], rec)
 		}
 	}
 	idxs := make([]int, 0, len(groups))
@@ -420,12 +421,9 @@ func (s *Server) mutateIngest(rec *store.Record, start time.Time) (id int, epoch
 	for _, si := range idxs {
 		for _, a := range groups[si] {
 			if _, oerr := s.shards[si].engine.Object(int(a.ID)); oerr != nil {
-				return 0, s.gepoch.Load(), 0, 0, nil, oerr
+				return 0, s.gepoch.Load(), 0, 0, oerr
 			}
 		}
-	}
-	if s.subs != nil {
-		note = &subscribe.BatchNote{At: start}
 	}
 	for _, si := range idxs {
 		sh := s.shards[si]
@@ -435,7 +433,7 @@ func (s *Server) mutateIngest(rec *store.Record, start time.Time) (id int, epoch
 			sq, aerr := sh.store.Append(sub)
 			walDur += time.Since(walStart)
 			if aerr != nil {
-				return 0, s.gepoch.Load(), 0, walDur, nil, aerr
+				return 0, s.gepoch.Load(), 0, walDur, aerr
 			}
 			if seq == 0 {
 				seq = sq
@@ -445,64 +443,12 @@ func (s *Server) mutateIngest(rec *store.Record, start time.Time) (id int, epoch
 			// Unreachable after pre-validation short of an engine edge
 			// (object.Extended); the sub-record is logged and replay
 			// rejects it identically, so per-shard consistency holds.
-			return 0, s.gepoch.Load(), 0, walDur, nil, aerr
+			return 0, s.gepoch.Load(), 0, walDur, aerr
 		}
 		sh.epoch++
 		epoch = s.gepoch.Add(1)
-		if note != nil {
-			seen := make(map[int64]bool, len(groups[si]))
-			for _, a := range groups[si] {
-				if seen[a.ID] {
-					continue
-				}
-				seen[a.ID] = true
-				if o, oerr := sh.engine.Object(int(a.ID)); oerr == nil {
-					note.Appends = append(note.Appends, o)
-				} else {
-					note.DirtyAll = true
-				}
-			}
-		}
 	}
-	if note != nil {
-		note.Epoch = epoch
-	}
-	return 0, epoch, seq, walDur, note, nil
-}
-
-// noteFor shapes the subscription BatchNote for an applied mutation.
-// Position appends carry the post-append object states so guards can
-// run the cheap safe-region check; every other op dirties all
-// subscriptions. Caller holds the owning shard's write lock — the
-// object pointers fetched here are the immutable post-apply snapshots.
-func noteFor(eng *dynamic.Engine, rec *store.Record, epoch int64, at time.Time) *subscribe.BatchNote {
-	note := &subscribe.BatchNote{Epoch: epoch, At: at}
-	switch rec.Op {
-	case store.OpAddPosition:
-		o, err := eng.Object(int(rec.ID))
-		if err != nil {
-			note.DirtyAll = true
-			return note
-		}
-		note.Appends = []*object.Object{o}
-	case store.OpIngestBatch:
-		seen := make(map[int64]bool, len(rec.Appends))
-		for _, a := range rec.Appends {
-			if seen[a.ID] {
-				continue
-			}
-			seen[a.ID] = true
-			o, err := eng.Object(int(a.ID))
-			if err != nil {
-				note.DirtyAll = true
-				return note
-			}
-			note.Appends = append(note.Appends, o)
-		}
-	default:
-		note.DirtyAll = true
-	}
-	return note
+	return 0, epoch, seq, walDur, nil
 }
 
 // scatters reports whether algo's query against the current topology

@@ -4,10 +4,15 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"net/http/httptest"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 
+	"pinocchio/internal/obs"
 	"pinocchio/internal/probfn"
 	"pinocchio/internal/store"
 	"pinocchio/internal/wal"
@@ -368,4 +373,87 @@ func TestShardedStatusJSONShape(t *testing.T) {
 			t.Errorf("status missing %q: %s", key, rec.Body.String())
 		}
 	}
+}
+
+// TestShardedObjectsGauge pins /metrics' pinocchio_dynamic_objects to
+// the population /v1/status counts on a 2-shard server: each shard
+// engine sets the gauge to its own count as it applies an op, so the
+// server must put the total back after boot and after every mutation,
+// also when writers on both shards interleave.
+func TestShardedObjectsGauge(t *testing.T) {
+	obs.Enable()
+	defer obs.Disable()
+	objs, cands := testPopulation(t, 40, 25)
+	s, err := New(Config{Shards: 2}, objs, cands)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	check := func(step string, want int) {
+		t.Helper()
+		var status struct {
+			Objects int `json:"objects"`
+		}
+		do(t, s, "GET", "/v1/status", "", &status)
+		if status.Objects != want {
+			t.Fatalf("%s: status objects %d, want %d", step, status.Objects, want)
+		}
+		body := do(t, s, "GET", "/metrics", "", nil).Body.String()
+		for _, line := range strings.Split(body, "\n") {
+			if v, ok := strings.CutPrefix(line, "pinocchio_dynamic_objects "); ok {
+				if got, err := strconv.ParseFloat(v, 64); err != nil || got != float64(want) {
+					t.Fatalf("%s: /metrics %q, want pinocchio_dynamic_objects %d", step, line, want)
+				}
+				return
+			}
+		}
+		t.Fatalf("%s: /metrics has no pinocchio_dynamic_objects line", step)
+	}
+	check("boot", 40)
+	if rec := do(t, s, "POST", "/v1/objects", `{"id":100,"positions":[{"x":1,"y":1}]}`, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("add object: %d %s", rec.Code, rec.Body.String())
+	}
+	check("add object", 41)
+	if rec := do(t, s, "DELETE", "/v1/objects/3", "", nil); rec.Code != http.StatusOK {
+		t.Fatalf("remove object: %d %s", rec.Code, rec.Body.String())
+	}
+	check("remove object", 40)
+	// Objects 0..5 live on both shards, so this batch takes the
+	// cross-shard ingest path; the single append after it stays on one.
+	var appends []string
+	for id := 0; id < 6; id++ {
+		if id != 3 {
+			appends = append(appends, fmt.Sprintf(`{"id":%d,"positions":[{"x":2,"y":2}]}`, id))
+		}
+	}
+	for _, body := range []string{
+		`{"appends":[` + strings.Join(appends, ",") + `]}`,
+		`{"appends":[{"id":7,"positions":[{"x":3,"y":3}]}]}`,
+	} {
+		if rec := do(t, s, "POST", "/v1/ingest", body, nil); rec.Code != http.StatusOK {
+			t.Fatalf("ingest: %d %s", rec.Code, rec.Body.String())
+		}
+		check("ingest", 40)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < 5; i++ {
+				id := 200 + 10*w + i
+				for _, req := range [][2]string{
+					{"/v1/objects", fmt.Sprintf(`{"id":%d,"positions":[{"x":1,"y":1}]}`, id)},
+					{"/v1/ingest", fmt.Sprintf(`{"appends":[{"id":%d,"positions":[{"x":2,"y":2}]}]}`, id)},
+				} {
+					rec := httptest.NewRecorder()
+					s.ServeHTTP(rec, httptest.NewRequest("POST", req[0], strings.NewReader(req[1])))
+					if rec.Code >= 300 {
+						t.Errorf("POST %s: %d %s", req[0], rec.Code, rec.Body.String())
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	check("concurrent writers", 60)
 }

@@ -2,12 +2,13 @@
 // subscriptions with SSE push and long-poll fallback (DESIGN.md §12).
 //
 // POST /v1/ingest applies many (object, position) appends as ONE
-// mutation record — one WAL group-commit, one epoch bump — and feeds
-// the subscription manager the post-append object states so each
-// standing query's safe-region guard can decide cheaply whether its
-// top-k could have moved. POST /v1/subscribe registers the standing
-// query; /v1/subscriptions/{id}/events streams its versioned change
-// events over SSE and /v1/subscriptions/{id}/poll long-polls them.
+// mutation record — one WAL group-commit, one epoch bump — and, like
+// every applied mutation, sends the subscription manager one note at
+// the new epoch: each standing query solved below it re-solves, and
+// publishes only if its top-k changed. POST /v1/subscribe registers
+// the standing query; /v1/subscriptions/{id}/events streams its
+// versioned change events over SSE and /v1/subscriptions/{id}/poll
+// long-polls them.
 package server
 
 import (
@@ -33,9 +34,9 @@ var sseHeartbeat = 15 * time.Second
 
 // SolveTopK implements subscribe.Backend: solve the standing query
 // against the current snapshot and return the FULL ranked influence
-// vector (influence descending, id ascending) — the subscription
-// guard needs exact lower bounds for every candidate, not just the
-// delivered prefix. pin and pin-par go through indexInfluences: at the
+// vector (influence descending, id ascending) — a subscription's
+// candidate filter ranks any subset of it, not just the global
+// prefix. pin and pin-par go through indexInfluences: at the
 // engine's PF/τ they read the shard snapshots' engine vectors, with no
 // build; at any other pair a burst of re-solves at one epoch builds
 // each changed shard's index once and the rest are lookups. na (and

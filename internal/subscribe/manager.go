@@ -9,9 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"pinocchio/internal/dynamic"
-	"pinocchio/internal/geo"
-	"pinocchio/internal/object"
 	"pinocchio/internal/obs"
 	"pinocchio/internal/probfn"
 )
@@ -24,9 +21,9 @@ var ErrClosed = errors.New("subscribe: manager closed")
 
 // Backend solves a standing query against the serving layer's current
 // snapshot. It must return the full ranked influence vector over all
-// live candidates (influence descending, id ascending) — the guard
-// needs exact lower bounds for every candidate, which is why pin-vo's
-// early exit is not allowed for subscriptions.
+// live candidates (influence descending, id ascending) — a candidate
+// filter ranks any subset of it, which is why pin-vo's early exit is
+// not allowed for subscriptions.
 type Backend interface {
 	SolveTopK(q *Query) (*Solution, error)
 }
@@ -43,18 +40,12 @@ type Solution struct {
 	Trace *obs.Span
 }
 
-// BatchNote describes one applied mutation to the manager. Position
-// appends carry the post-append objects so guards can fold them into
-// their bounds; every other mutation sets DirtyAll — no monotonicity
-// argument holds and every guard must re-solve.
+// BatchNote tells the manager that a mutation was applied: the epoch
+// it produced, plus the trace and WAL timing its notify pipeline
+// reports. Every subscription solved below Epoch re-solves.
 type BatchNote struct {
 	Epoch   int64
 	TraceID string
-	// Appends holds the post-append object states of an ingest batch,
-	// each touched object once.
-	Appends []*object.Object
-	// DirtyAll bypasses every guard (non-append mutations).
-	DirtyAll bool
 	// At is the enqueue time, the start of the notify-latency clock.
 	At time.Time
 	// WALDur is the wall time the batch spent in WAL appends (fsync
@@ -76,16 +67,12 @@ type BatchNote struct {
 
 // subState is the manager-worker-owned solver state of a subscription.
 type subState struct {
-	pf     probfn.Func
 	filter map[int]bool // nil = all candidates
-	guard  *dynamic.TopKGuard
 	// solvedEpoch is the epoch of the last backend solve; notes at or
-	// below it are already reflected in the guard's lower bounds.
+	// below it are already reflected in the delivered answer.
 	solvedEpoch int64
 	lastIDs     []int
 	lastTopK    []Candidate
-	evaluations int64
-	suppressed  int64
 }
 
 // Config parameterizes a Manager.
@@ -99,7 +86,7 @@ type Config struct {
 	// Traces, when non-nil, retains one kind="notify" trace per
 	// re-solved pipeline run (published, unchanged or errored), linked
 	// to the triggering mutation's trace ID, with wal-append /
-	// queue-wait / filter / solve / publish stage spans.
+	// queue-wait / solve / publish stage spans.
 	Traces *obs.TraceStore
 	// SlowNotify marks notify traces at or above this ingest-to-publish
 	// duration as slow (always-keep retention + slog warning); <= 0
@@ -112,17 +99,17 @@ type Config struct {
 	NotifyLatency *obs.Histogram
 }
 
-// Stats is the manager's cumulative filter and delivery accounting.
+// Stats is the manager's cumulative check and delivery accounting.
 type Stats struct {
 	Active     int    `json:"active"`
 	Registered uint64 `json:"registered_total"`
 	Events     int64  `json:"events_total"`
-	// Checks: every (batch, subscription) pair lands in exactly one
-	// bucket. Suppressed/(sum) is the safe-region filter effectiveness.
-	Suppressed int64 `json:"checks_suppressed"`
-	Resolved   int64 `json:"checks_resolved"`
-	Stale      int64 `json:"checks_stale"`
-	Errors     int64 `json:"solve_errors"`
+	// Checks: every (merged note, subscription) pair lands in exactly
+	// one bucket — re-solved, stale (nothing newer than the solved
+	// epoch) or a failed solve.
+	Resolved int64 `json:"checks_resolved"`
+	Stale    int64 `json:"checks_stale"`
+	Errors   int64 `json:"solve_errors"`
 }
 
 // Manager owns every subscription and the single worker that folds
@@ -148,11 +135,10 @@ type Manager struct {
 	done   chan struct{}
 	wg     sync.WaitGroup
 
-	events     atomic.Int64
-	suppressed atomic.Int64
-	resolved   atomic.Int64
-	stale      atomic.Int64
-	errors     atomic.Int64
+	events   atomic.Int64
+	resolved atomic.Int64
+	stale    atomic.Int64
+	errors   atomic.Int64
 }
 
 // NewManager starts a manager and its worker.
@@ -179,11 +165,11 @@ func NewManager(cfg Config) (*Manager, error) {
 }
 
 // validate resolves the query's defaults and rejects what the solver
-// or the guard cannot support. Presence is pointer-encoded: only a
-// genuinely omitted field (nil) takes its default; an explicit value
-// — including zero — is validated as sent, so the resolved query the
-// subscription echoes back is always the one the client asked for.
-func (q *Query) validate() (probfn.Func, error) {
+// cannot support. Presence is pointer-encoded: only a genuinely
+// omitted field (nil) takes its default; an explicit value — including
+// zero — is validated as sent, so the resolved query the subscription
+// echoes back is always the one the client asked for.
+func (q *Query) validate() error {
 	if q.PF == "" {
 		q.PF = DefaultPF
 	}
@@ -198,37 +184,35 @@ func (q *Query) validate() (probfn.Func, error) {
 	// probfn.ByName rejects ρ outside (0,1] and non-positive shapes, so
 	// an explicit zero fails here rather than silently becoming the
 	// default.
-	pf, err := probfn.ByName(q.PF, *q.Rho, *q.Lambda)
-	if err != nil {
-		return nil, err
+	if _, err := probfn.ByName(q.PF, *q.Rho, *q.Lambda); err != nil {
+		return err
 	}
 	if !(q.Tau > 0 && q.Tau < 1) {
-		return nil, fmt.Errorf("subscribe: tau %v outside (0,1)", q.Tau)
+		return fmt.Errorf("subscribe: tau %v outside (0,1)", q.Tau)
 	}
 	if q.K == nil {
 		k := DefaultK
 		q.K = &k
 	}
 	if *q.K < 1 {
-		return nil, fmt.Errorf("subscribe: k %d must be at least 1 (omit k for the default)", *q.K)
+		return fmt.Errorf("subscribe: k %d must be at least 1 (omit k for the default)", *q.K)
 	}
 	switch q.Algorithm {
 	case "":
 		q.Algorithm = DefaultAlgorithm
 	case "pin", "na", "pin-par":
 	default:
-		return nil, fmt.Errorf(
-			"subscribe: algorithm %q cannot back a subscription (want pin, na or pin-par: the guard needs a full influence vector)",
+		return fmt.Errorf(
+			"subscribe: algorithm %q cannot back a subscription (want pin, na or pin-par: a candidate filter ranks the full influence vector, and a live pin-vo stops before computing it)",
 			q.Algorithm)
 	}
-	return pf, nil
+	return nil
 }
 
 // Register validates q, solves it once, and returns the live
 // subscription with its version-1 event already in the backlog.
 func (m *Manager) Register(q Query) (*Subscription, error) {
-	pf, err := q.validate()
-	if err != nil {
+	if err := q.validate(); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
@@ -249,14 +233,13 @@ func (m *Manager) Register(q Query) (*Subscription, error) {
 		return nil, fmt.Errorf("subscribe: initial solve: %w", err)
 	}
 	sub := newSubscription(id, q, m.cfg.Buffer)
-	sub.state.pf = pf
 	if len(q.Candidates) > 0 {
 		sub.state.filter = make(map[int]bool, len(q.Candidates))
 		for _, c := range q.Candidates {
 			sub.state.filter[c] = true
 		}
 	}
-	m.arm(sub, sol)
+	install(sub, sol)
 	sub.publish(sol.Epoch, sol.TraceID, sub.state.lastTopK)
 	m.events.Add(1)
 	recordEvent()
@@ -272,9 +255,7 @@ func (m *Manager) Register(q Query) (*Subscription, error) {
 	// A batch may have been applied — and its note drained — between
 	// the solve and this insertion; a targeted recheck closes the gap.
 	if m.lastNoteEpoch > sol.Epoch {
-		m.enqueueLocked(BatchNote{
-			Epoch: m.lastNoteEpoch, DirtyAll: true, At: time.Now(), only: id,
-		})
+		m.enqueueLocked(BatchNote{Epoch: m.lastNoteEpoch, At: time.Now(), only: id})
 	}
 	m.mu.Unlock()
 	return sub, nil
@@ -379,7 +360,6 @@ func (m *Manager) Stats() Stats {
 		Active:     active,
 		Registered: registered,
 		Events:     m.events.Load(),
-		Suppressed: m.suppressed.Load(),
 		Resolved:   m.resolved.Load(),
 		Stale:      m.stale.Load(),
 		Errors:     m.errors.Load(),
@@ -387,7 +367,7 @@ func (m *Manager) Stats() Stats {
 }
 
 // worker is the single solve loop: it drains the note queue, coalesces
-// what piled up, and runs every subscription's guard check.
+// what piled up, and checks every subscription against it.
 func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
@@ -419,11 +399,10 @@ func (m *Manager) worker() {
 
 // process folds a drained run of notes into every subscription.
 // Untargeted notes coalesce into one merged batch PER SUBSCRIPTION —
-// one guard check and at most one solve no matter how many batches
-// piled up. The merge skips notes at or below the subscription's last
-// solved epoch: a stale DirtyAll note must not force a re-solve on a
-// subscription whose answer already reflects it. Targeted rechecks run
-// individually.
+// at most one solve no matter how many batches piled up. The merge
+// skips notes at or below the subscription's last solved epoch: a
+// stale note must not force a re-solve on a subscription whose answer
+// already reflects it. Targeted rechecks run individually.
 func (m *Manager) process(notes []BatchNote, subs []*Subscription) {
 	untargeted := notes[:0]
 	for _, n := range notes {
@@ -432,7 +411,7 @@ func (m *Manager) process(notes []BatchNote, subs []*Subscription) {
 			target, ok := m.subs[n.only]
 			m.mu.Unlock()
 			if ok {
-				m.check(target, &n, n.Appends)
+				m.check(target, &n)
 			}
 			continue
 		}
@@ -442,32 +421,25 @@ func (m *Manager) process(notes []BatchNote, subs []*Subscription) {
 		return
 	}
 	for _, sub := range subs {
-		merged, appends := mergeNotes(untargeted, sub.state.solvedEpoch)
+		merged := mergeNotes(untargeted, sub.state.solvedEpoch)
 		if merged == nil {
 			m.stale.Add(1)
 			recordCheck("stale")
 			continue
 		}
-		m.check(sub, merged, appends)
+		m.check(sub, merged)
 	}
 }
 
 // mergeNotes coalesces the notes strictly newer than after into one
-// batch: max epoch (with its trace), earliest enqueue time, OR of
-// DirtyAll, appends deduped by object id with the later post-append
-// state winning (sound for the guard: influence credits an object at
-// most once, so observing only its latest state covers every earlier
-// flip). Returns nil when every note is stale.
-func mergeNotes(notes []BatchNote, after int64) (*BatchNote, []*object.Object) {
+// batch: max epoch (with its trace), earliest enqueue time, summed WAL
+// time. Returns nil when every note is stale.
+func mergeNotes(notes []BatchNote, after int64) *BatchNote {
 	merged := BatchNote{Epoch: after}
-	var appends []*object.Object
-	seen := map[int]int{} // object id -> index in appends
-	fresh := false
 	for _, n := range notes {
 		if n.Epoch <= after {
 			continue
 		}
-		fresh = true
 		merged.merged++
 		if n.Epoch > merged.Epoch {
 			merged.Epoch = n.Epoch
@@ -483,93 +455,60 @@ func mergeNotes(notes []BatchNote, after int64) (*BatchNote, []*object.Object) {
 		// WAL time sums: the coalesced pipeline run covers every batch's
 		// append work.
 		merged.WALDur += n.WALDur
-		merged.DirtyAll = merged.DirtyAll || n.DirtyAll
-		for _, o := range n.Appends {
-			if i, ok := seen[o.ID]; ok {
-				appends[i] = o
-			} else {
-				seen[o.ID] = len(appends)
-				appends = append(appends, o)
-			}
-		}
 	}
-	if !fresh {
-		return nil, nil
+	if merged.merged == 0 {
+		return nil
 	}
-	return &merged, appends
+	return &merged
 }
 
 // check runs one subscription against one (possibly merged) batch:
-// stale skip, guard certification, or re-solve + diff + publish. A
-// run that reaches the solve produces a kind="notify" pipeline trace
-// under the triggering mutation's trace ID, with one child span per
-// stage, so GET /v1/debug/traces/{ingest-id} answers "why was this
-// notify late" stage by stage.
-func (m *Manager) check(sub *Subscription, note *BatchNote, appends []*object.Object) {
+// stale skip, or re-solve + diff + publish. A re-solve produces a
+// kind="notify" pipeline trace under the triggering mutation's trace
+// ID, with one child span per stage, so GET
+// /v1/debug/traces/{ingest-id} answers "why was this notify late"
+// stage by stage.
+func (m *Manager) check(sub *Subscription, note *BatchNote) {
 	st := &sub.state
 	if note.Epoch <= st.solvedEpoch {
 		m.stale.Add(1)
 		recordCheck("stale")
 		return
 	}
-	checkStart := time.Now()
 	var queueWait time.Duration
 	if !note.enqueuedAt.IsZero() {
-		queueWait = checkStart.Sub(note.enqueuedAt)
+		queueWait = time.Since(note.enqueuedAt)
 	}
 	recordStage(StageQueueWait, queueWait)
-	filterStart := time.Now()
-	suppressed := !note.DirtyAll && st.guard.Certified() && st.guard.Observe(appends)
-	filterDur := time.Since(filterStart)
-	recordStage(StageFilter, filterDur)
-	if suppressed {
-		st.suppressed++
-		m.suppressed.Add(1)
-		recordCheck("suppressed")
-		return
-	}
 	var root *obs.Span
 	if m.cfg.Traces != nil {
 		root = obs.NewSpan("notify")
 		root.SetAttr("subscription", sub.ID)
 		root.SetAttr("batches_coalesced", note.merged)
-		root.SetAttr("appends", len(appends))
 		if note.WALDur > 0 {
 			root.Child("wal-append").Accumulate(note.WALDur)
 		}
 		root.Child("queue-wait").Accumulate(queueWait)
-		fs := root.Child("filter")
-		fs.Accumulate(filterDur)
-		if note.DirtyAll {
-			fs.SetAttr("bypassed", "dirty-all")
-		}
 	}
 	solveStart := time.Now()
 	sol, err := m.cfg.Backend.SolveTopK(&sub.Query)
 	solveDur := time.Since(solveStart)
 	recordStage(StageSolve, solveDur)
+	ss := root.Child("solve")
+	ss.Accumulate(solveDur)
 	if err != nil {
-		// Leave the guard broken: the next batch retries the solve.
-		st.guard.Invalidate()
+		// solvedEpoch stays put: the next fresh batch retries the solve.
 		m.errors.Add(1)
 		recordCheck("error")
-		if root != nil {
-			root.Child("solve").Accumulate(solveDur)
-			root.SetAttr("error", err.Error())
-		}
+		root.SetAttr("error", err.Error())
 		m.finishPipeline(sub, note, root, 0, err, false)
 		return
 	}
-	if root != nil {
-		ss := root.Child("solve")
-		ss.Accumulate(solveDur)
-		ss.Adopt(sol.Trace)
-	}
-	st.evaluations++
+	ss.Adopt(sol.Trace)
 	m.resolved.Add(1)
 	recordCheck("resolved")
 	prev := st.lastIDs
-	m.arm(sub, sol)
+	install(sub, sol)
 	changed := !equalIDs(prev, st.lastIDs)
 	if changed {
 		// The event carries the triggering mutation's trace ID when it
@@ -651,9 +590,9 @@ func (m *Manager) finishPipeline(sub *Subscription, note *BatchNote, root *obs.S
 	slog.Warn("slow notify", args...)
 }
 
-// arm installs a fresh solution: apply the candidate filter, cut the
-// delivered prefix, rebuild the guard from the filtered exact vector.
-func (m *Manager) arm(sub *Subscription, sol *Solution) {
+// install takes a fresh solution: apply the candidate filter, cut the
+// delivered prefix, record the solved epoch.
+func install(sub *Subscription, sol *Solution) {
 	st := &sub.state
 	ranked := sol.Ranked
 	if st.filter != nil {
@@ -671,19 +610,6 @@ func (m *Manager) arm(sub *Subscription, sol *Solution) {
 		st.lastIDs[i] = c.ID
 	}
 	st.solvedEpoch = sol.Epoch
-
-	guardCands := make([]dynamic.GuardCandidate, len(ranked))
-	for i, c := range ranked {
-		guardCands[i] = dynamic.GuardCandidate{
-			ID: c.ID, Pt: geo.Point{X: c.X, Y: c.Y}, Influence: c.Influence,
-		}
-	}
-	guard, err := dynamic.NewTopKGuard(st.pf, sub.Query.Tau, sub.Query.KVal(), guardCands)
-	if err != nil {
-		st.guard = nil // unguarded: every batch re-solves
-		return
-	}
-	st.guard = guard
 }
 
 func equalIDs(a, b []int) bool {

@@ -6,9 +6,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"pinocchio/internal/geo"
-	"pinocchio/internal/object"
 )
 
 // iptr and fptr build the explicit-value pointers Query now uses to
@@ -85,15 +82,6 @@ func ranked(a, b int) []Candidate {
 	return []Candidate{cb, ca}
 }
 
-func obj(t *testing.T, id int, pts ...geo.Point) *object.Object {
-	t.Helper()
-	o, err := object.New(id, pts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return o
-}
-
 func TestQueryValidation(t *testing.T) {
 	fb := fbWith(&Solution{Epoch: 1, Ranked: ranked(0, 0)})
 	m := newTestManager(t, fb, Config{})
@@ -161,11 +149,12 @@ func TestCandidateFilter(t *testing.T) {
 	}
 }
 
-// TestSuppressionAndFlip drives the full filter path: a far append is
-// absorbed by the guard with no solve and no event; an append that can
-// move a candidate across the top-1 boundary forces a re-solve and a
-// versioned change event.
-func TestSuppressionAndFlip(t *testing.T) {
+// TestFreshBatchResolvesAndFlip drives the re-solve path: every note
+// newer than the solved epoch re-solves, whatever the batch touched. A
+// far batch that leaves the ranking as it was publishes nothing; a
+// batch that lifts a candidate across the top-1 boundary publishes a
+// versioned change event; an unchanged re-solve publishes nothing.
+func TestFreshBatchResolvesAndFlip(t *testing.T) {
 	// Equal influences: A wins the id tie-break.
 	fb := fbWith(&Solution{Epoch: 1, TraceID: "t0", Ranked: ranked(0, 0)})
 	m := newTestManager(t, fb, Config{})
@@ -175,35 +164,28 @@ func TestSuppressionAndFlip(t *testing.T) {
 	}
 	base := fb.solveCount()
 
-	// An append far from both candidates (powerlaw ρ=0.9 τ=0.7 keeps
-	// the NIB radius around 1): no upper bound moves, guard certifies.
-	m.Notify(BatchNote{
-		Epoch:   2,
-		Appends: []*object.Object{obj(t, 50, geo.Point{X: 50, Y: 50}, geo.Point{X: 50.1, Y: 50.1})},
-	})
-	m.Drain()
-	if n := fb.solveCount(); n != base {
-		t.Fatalf("far append triggered %d solves", n-base)
-	}
-	if v := sub.Version(); v != 1 {
-		t.Fatalf("far append published version %d", v)
-	}
-	st := m.Stats()
-	if st.Suppressed != 1 {
-		t.Fatalf("stats after suppressed batch: %+v", st)
-	}
-
-	// An append inside B's NIB can lift B above A: guard breaks, the
-	// re-solve sees B ahead, a change event is published.
-	fb.set(&Solution{Epoch: 3, TraceID: "t1", Ranked: ranked(0, 1)})
-	m.Notify(BatchNote{
-		Epoch:   3,
-		TraceID: "t1",
-		Appends: []*object.Object{obj(t, 51, geo.Point{X: 10, Y: 10})},
-	})
+	// A batch far from both candidates: the re-solve finds the same
+	// ranking, so no event is published.
+	fb.set(&Solution{Epoch: 2, TraceID: "t-far", Ranked: ranked(0, 0)})
+	m.Notify(BatchNote{Epoch: 2, TraceID: "t-far"})
 	m.Drain()
 	if n := fb.solveCount(); n != base+1 {
-		t.Fatalf("flip append triggered %d solves, want 1", n-base)
+		t.Fatalf("far batch triggered %d solves, want 1", n-base)
+	}
+	if v := sub.Version(); v != 1 {
+		t.Fatalf("far batch published version %d", v)
+	}
+	if st := m.Stats(); st.Resolved != 1 || st.Stale != 0 || st.Errors != 0 {
+		t.Fatalf("stats after far batch: %+v, want 1 resolved", st)
+	}
+
+	// A batch inside B's NIB lifts B above A: the re-solve sees B ahead
+	// and a change event is published.
+	fb.set(&Solution{Epoch: 3, TraceID: "t1", Ranked: ranked(0, 1)})
+	m.Notify(BatchNote{Epoch: 3, TraceID: "t1"})
+	m.Drain()
+	if n := fb.solveCount(); n != base+2 {
+		t.Fatalf("flip batch left %d solves, want 2", n-base)
 	}
 	evs, _ := sub.Since(1)
 	if len(evs) != 1 {
@@ -219,13 +201,57 @@ func TestSuppressionAndFlip(t *testing.T) {
 
 	// A re-solve whose ranking is unchanged publishes nothing.
 	fb.set(&Solution{Epoch: 4, Ranked: ranked(1, 2)})
-	m.Notify(BatchNote{Epoch: 4, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 4})
 	m.Drain()
 	if v := sub.Version(); v != 2 {
 		t.Fatalf("no-change re-solve moved version to %d", v)
 	}
-	if st := m.Stats(); st.Resolved != 2 {
-		t.Fatalf("stats: %+v, want 2 resolved", st)
+	if st := m.Stats(); st.Resolved != 3 {
+		t.Fatalf("stats: %+v, want 3 resolved", st)
+	}
+}
+
+// TestEveryCheckHasOneOutcome holds the accounting: with one note per
+// Drain, every (note, live subscription) pair lands in exactly one of
+// resolved, stale or error.
+func TestEveryCheckHasOneOutcome(t *testing.T) {
+	fb := fbWith(&Solution{Epoch: 5, Ranked: ranked(0, 0)})
+	m := newTestManager(t, fb, Config{})
+	const nSubs = 3
+	for i := 0; i < nSubs; i++ {
+		if _, err := m.Register(Query{Tau: 0.7, K: iptr(1 + i%2)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checks := 0
+	note := func(epoch int64) {
+		t.Helper()
+		m.Notify(BatchNote{Epoch: epoch})
+		m.Drain()
+		checks += m.Stats().Active
+	}
+	note(3) // predates the registration solves: stale
+	fb.set(&Solution{Epoch: 6, Ranked: ranked(0, 1)})
+	note(6) // resolved
+	fb.mu.Lock()
+	fb.err = errors.New("boom")
+	fb.mu.Unlock()
+	note(7) // error
+	fb.set(&Solution{Epoch: 8, Ranked: ranked(2, 1)})
+	note(8) // resolved
+	if !m.Cancel("sub-2") {
+		t.Fatal("Cancel sub-2 failed")
+	}
+	fb.set(&Solution{Epoch: 9, Ranked: ranked(2, 3)})
+	note(9) // resolved, one subscription fewer
+
+	st := m.Stats()
+	if got := st.Resolved + st.Stale + st.Errors; got != int64(checks) {
+		t.Fatalf("resolved %d + stale %d + errors %d = %d, want %d checks",
+			st.Resolved, st.Stale, st.Errors, got, checks)
+	}
+	if st.Stale != nSubs || st.Errors != nSubs || st.Resolved != 3*nSubs-1 {
+		t.Fatalf("stats %+v, want %d stale, %d errors, %d resolved", st, nSubs, nSubs, 3*nSubs-1)
 	}
 }
 
@@ -237,8 +263,8 @@ func TestStaleNotesSkip(t *testing.T) {
 	}
 	base := fb.solveCount()
 	// The registration solve already covers epoch 9.
-	m.Notify(BatchNote{Epoch: 5, DirtyAll: true})
-	m.Notify(BatchNote{Epoch: 9, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 5})
+	m.Notify(BatchNote{Epoch: 9})
 	m.Drain()
 	if n := fb.solveCount(); n != base {
 		t.Fatalf("stale notes triggered %d solves", n-base)
@@ -258,15 +284,15 @@ func TestSolveErrorRetries(t *testing.T) {
 	fb.mu.Lock()
 	fb.err = errors.New("boom")
 	fb.mu.Unlock()
-	m.Notify(BatchNote{Epoch: 2, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 2})
 	m.Drain()
 	if st := m.Stats(); st.Errors != 1 {
 		t.Fatalf("stats: %+v, want 1 error", st)
 	}
-	// Backend recovers; the next batch re-solves (broken guard) and
-	// publishes the changed answer.
+	// Backend recovers; the next batch re-solves and publishes the
+	// changed answer.
 	fb.set(&Solution{Epoch: 3, Ranked: ranked(0, 2)})
-	m.Notify(BatchNote{Epoch: 3, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 3})
 	m.Drain()
 	evs, _ := sub.Since(1)
 	if len(evs) != 1 || evs[0].TopK[0].ID != candB.ID {
@@ -353,7 +379,7 @@ func TestBacklogCoalesces(t *testing.T) {
 			a, b = i+1, 0
 		}
 		fb.set(&Solution{Epoch: int64(2 + i), Ranked: ranked(a, b)})
-		m.Notify(BatchNote{Epoch: int64(2 + i), DirtyAll: true})
+		m.Notify(BatchNote{Epoch: int64(2 + i)})
 		m.Drain()
 	}
 	if v := sub.Version(); v != 5 {
@@ -379,7 +405,7 @@ func TestRegisterRecheckRace(t *testing.T) {
 	fb := fbWith(&Solution{Epoch: 1, Ranked: ranked(0, 0)})
 	m := newTestManager(t, fb, Config{})
 	// A note at epoch 7 is processed with no subscriptions live.
-	m.Notify(BatchNote{Epoch: 7, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 7})
 	m.Drain()
 	// The register solve claims epoch 1 < 7: the manager must schedule
 	// a recheck, which re-solves and sees the changed answer.
@@ -420,7 +446,7 @@ func TestWaitWakesOnPublish(t *testing.T) {
 		}
 	}()
 	fb.set(&Solution{Epoch: 2, TraceID: "t-wake", Ranked: ranked(0, 1)})
-	m.Notify(BatchNote{Epoch: 2, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 2})
 	select {
 	case ev := <-got:
 		if ev.Version != 2 || ev.TraceID != "t-wake" {
@@ -451,7 +477,7 @@ func TestConcurrentNotifyAndConsume(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				epoch := int64(2 + w*50 + i)
 				fb.set(&Solution{Epoch: epoch, Ranked: ranked(i%3, (i+1)%3)})
-				m.Notify(BatchNote{Epoch: epoch, DirtyAll: true, TraceID: fmt.Sprintf("w%d-%d", w, i)})
+				m.Notify(BatchNote{Epoch: epoch, TraceID: fmt.Sprintf("w%d-%d", w, i)})
 			}
 		}(w)
 	}
@@ -484,7 +510,7 @@ func TestConcurrentNotifyAndConsume(t *testing.T) {
 	close(stop)
 	// Publish once more so blocked readers wake and observe stop.
 	fb.set(&Solution{Epoch: 1000, Ranked: ranked(9, 0)})
-	m.Notify(BatchNote{Epoch: 1000, DirtyAll: true})
+	m.Notify(BatchNote{Epoch: 1000})
 	m.Drain()
 	readers.Wait()
 }

@@ -14,8 +14,8 @@ const (
 	// and terminal events included.
 	MetricEvents = "pinocchio_sub_events_total"
 	// MetricChecks counts (batch, subscription) checks by outcome:
-	// suppressed (guard certified, no solve), resolved (re-solved),
-	// stale (batch predates the last solve), error (solve failed).
+	// resolved (re-solved), stale (batch predates the last solve),
+	// error (solve failed).
 	MetricChecks = "pinocchio_sub_checks_total"
 	// MetricNotifySeconds is the batch-enqueue-to-event-publish
 	// latency of delivered changes.
@@ -26,19 +26,18 @@ const (
 	MetricPipelineStage = "pinocchio_sub_pipeline_stage_seconds"
 )
 
-// Pipeline stage labels for MetricPipelineStage. Filter and
-// queue-wait are recorded for every checked batch; solve and publish
-// only when the pipeline reaches them; flush is recorded by the SSE
-// layer when an event is written to a client connection.
+// Pipeline stage labels for MetricPipelineStage. Queue-wait and solve
+// are recorded for every re-solved batch; publish only when the top-k
+// changed; flush is recorded by the SSE layer when an event is written
+// to a client connection.
 const (
-	StageFilter    = "filter"
 	StageQueueWait = "queue-wait"
 	StageSolve     = "solve"
 	StagePublish   = "publish"
 	StageFlush     = "flush"
 )
 
-// StageBuckets grades pipeline stages: the cheap stages (filter,
+// StageBuckets grades pipeline stages: the cheap stages (queue-wait,
 // publish) live in the microseconds, far below the latency
 // DefBuckets resolve.
 var StageBuckets = []float64{
@@ -78,7 +77,7 @@ func recordCheck(result string) {
 		return
 	}
 	obs.Default().Counter(MetricChecks,
-		"Per-batch subscription checks by outcome (suppressed = safe-region filter hit).",
+		"Per-batch subscription checks by outcome (resolved, stale or error).",
 		obs.Labels{"result": result}).Inc()
 }
 

@@ -3,14 +3,14 @@
 // a versioned event whenever streaming position updates change its
 // answer, instead of polling /v1/query.
 //
-// The lifecycle (DESIGN.md §12): Register validates the query, solves
-// it once, and arms a safe-region guard (dynamic.TopKGuard) under the
-// subscription's own PF/τ. Every applied mutation batch reaches the
-// manager as a BatchNote; a single worker folds notes into each
-// subscription's guard and re-solves only those whose guard cannot
-// certify the answer unchanged. A re-solve that changes the delivered
-// ranking publishes the next versioned Event into the subscription's
-// backlog ring, waking every attached SSE stream and long-poll.
+// The lifecycle (DESIGN.md §12): Register validates the query and
+// solves it once. Every applied mutation reaches the manager as a
+// BatchNote carrying its epoch; a single worker re-solves each
+// subscription whose solved epoch the notes have passed (outcome
+// resolved), skips the rest (stale), and counts failed solves (error).
+// A re-solve that changes the delivered ranking publishes the next
+// versioned Event into the subscription's backlog ring, waking every
+// attached SSE stream and long-poll.
 //
 // Delivery is at-least-once, versioned and coalescing: versions are
 // dense per subscription, the ring keeps the latest Buffer events (a
@@ -58,9 +58,9 @@ type Query struct {
 	// K is the tracked prefix length; nil selects 1, explicit values
 	// below 1 (including zero) are rejected.
 	K *int `json:"k,omitempty"`
-	// Algorithm must compute a full influence vector — the guard needs
-	// exact lower bounds for every candidate: pin (default), na or
-	// pin-par. pin-vo's early exit is rejected.
+	// Algorithm must compute a full influence vector, which a candidate
+	// filter ranks: pin (default), na or pin-par. pin-vo is rejected:
+	// run live (index cache off), it stops before computing the vector.
 	Algorithm string `json:"algorithm,omitempty"`
 }
 

@@ -34,13 +34,13 @@ echo "== influence exactness (index, engine, seed, guard) -race"
 # that queries at its own PF/τ read; these pin both to NA bit for bit (the
 # boundary probes, the randomized property over every PF family, and
 # the served engine path against a live server and NA over a random
-# ingest stream). The guard probe checks that a subscription's safe
-# region never certifies a top-k that NA's verdict has flipped, and the
-# serving stress test drives index builds, engine-vector reads,
-# snapshot swaps and mutations concurrently. The seed parity test
-# requires the boot seed (object-major, one goroutine per shard) to
-# build the state and counters the candidate-major loop builds; it is
-# repeated so the detector sees many shard interleavings.
+# ingest stream). The guard probe checks that TopKGuard (armed by
+# perfbench's traced replay) never certifies a top-k that NA's verdict
+# has flipped, and the serving stress test drives index builds,
+# engine-vector reads, snapshot swaps and mutations concurrently. The
+# seed parity test requires the boot seed (object-major, one goroutine
+# per shard) to build the state and counters the candidate-major loop
+# builds; it is repeated so the detector sees many shard interleavings.
 go test -race -run 'TestIndexBoundaryProbe|TestIndexMatchesNA|TestPinocchioVOTieBreak' ./internal/core
 go test -race -run 'TestEngineBoundaryProbe|TestGuardBoundaryProbe' ./internal/dynamic
 go test -race -count=10 -run 'TestSeedMatchesCandidateMajor' ./internal/dynamic
