@@ -64,7 +64,6 @@ type options struct {
 
 	shards        int
 	maxInflight   int
-	cacheSize     int
 	planCacheSize int
 	maxTimeout    time.Duration
 
@@ -98,7 +97,6 @@ func main() {
 	flag.Float64Var(&opts.tau, "tau", 0.7, "engine influence threshold in (0,1)")
 	flag.IntVar(&opts.shards, "shards", 0, "engine shards: object mutations lock one shard, full-vector queries scatter-gather (0 = NumCPU)")
 	flag.IntVar(&opts.maxInflight, "max-inflight", 0, "concurrent query cap before shedding with 429 (0 = 2×max(GOMAXPROCS, shards))")
-	flag.IntVar(&opts.cacheSize, "cache-size", 128, "entries in each of the query result and optimize caches (0 disables both)")
 	flag.IntVar(&opts.planCacheSize, "plan-cache", 32, "influence indexes held, one per (shard snapshot, PF), each answering every τ of an interval (0 disables: queries solve live)")
 	flag.DurationVar(&opts.maxTimeout, "max-timeout", 30*time.Second, "cap on per-request query deadlines")
 	flag.StringVar(&opts.dataDir, "data-dir", "", "durable state directory (WAL + checkpoints); empty serves in-memory only")
@@ -174,9 +172,6 @@ func validateOptions(opts options) error {
 	if opts.slowSync < 0 {
 		return fmt.Errorf("-slow-sync must be >= 0 (got %v); use 0 to disable WAL fsync tracing", opts.slowSync)
 	}
-	if opts.cacheSize < 0 {
-		return fmt.Errorf("-cache-size must be >= 0 (got %d); use 0 to disable the result and optimize caches", opts.cacheSize)
-	}
 	if opts.traceKeep < 0 {
 		return fmt.Errorf("-trace-keep must be >= 0 (got %d); use 0 to disable trace retention", opts.traceKeep)
 	}
@@ -211,7 +206,6 @@ func run(ctx context.Context, opts options) error {
 		PF:            pf,
 		Tau:           opts.tau,
 		MaxInflight:   opts.maxInflight,
-		CacheSize:     opts.cacheSize,
 		PlanCacheSize: opts.planCacheSize,
 		MaxTimeout:    opts.maxTimeout,
 		Shards:        opts.shards,
@@ -235,9 +229,6 @@ func run(ctx context.Context, opts options) error {
 	}
 	if opts.traceKeep == 0 {
 		cfg.TraceKeep = -1
-	}
-	if opts.cacheSize == 0 {
-		cfg.CacheSize = -1
 	}
 	if opts.planCacheSize == 0 {
 		cfg.PlanCacheSize = -1

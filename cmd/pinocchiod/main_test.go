@@ -24,7 +24,6 @@ func testOptions() options {
 		rho:        0.9,
 		lambda:     1.0,
 		tau:        0.7,
-		cacheSize:  16,
 		maxTimeout: 10 * time.Second,
 	}
 }
@@ -102,33 +101,6 @@ func TestRunServesAndShutsDown(t *testing.T) {
 	fetchJSON(t, base+"/metrics", "", nil)
 }
 
-// TestRunCacheSizeZeroDisables checks that -cache-size 0 turns the
-// response caches off rather than selecting the default capacity: a
-// repeated query is solved again and the result cache stays empty.
-func TestRunCacheSizeZeroDisables(t *testing.T) {
-	opts := testOptions()
-	opts.cacheSize = 0
-	addr, stop := startDaemon(t, opts)
-	defer stop()
-	base := "http://" + addr
-	for i := 0; i < 2; i++ {
-		var q struct {
-			Cached bool `json:"cached"`
-		}
-		fetchJSON(t, base+"/v1/query", `{"tau":0.7}`, &q)
-		if q.Cached {
-			t.Fatalf("query %d answered from a disabled cache", i+1)
-		}
-	}
-	var st struct {
-		CacheEntries *int `json:"cache_entries"`
-	}
-	fetchJSON(t, base+"/v1/status", "", &st)
-	if st.CacheEntries == nil || *st.CacheEntries != 0 {
-		t.Fatalf("cache_entries = %v, want 0", st.CacheEntries)
-	}
-}
-
 // TestRunDurableRestart boots the daemon with a data directory,
 // mutates it, restarts on the same directory, and checks the mutated
 // state survived without re-reading the dataset.
@@ -181,11 +153,11 @@ func TestRunRejectsBadConfig(t *testing.T) {
 		t.Fatal("bad preset should fail")
 	}
 	opts := testOptions()
-	opts.cacheSize = -1
+	opts.planCacheSize = -1
 	// Cancelled first, so run returns at once should the value ever
 	// slip through validation.
 	cancel()
-	if err := run(ctx, opts); err == nil || !strings.Contains(err.Error(), "-cache-size") {
-		t.Fatalf("-cache-size -1: err = %v, want a -cache-size error", err)
+	if err := run(ctx, opts); err == nil || !strings.Contains(err.Error(), "-plan-cache") {
+		t.Fatalf("-plan-cache -1: err = %v, want a -plan-cache error", err)
 	}
 }

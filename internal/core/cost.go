@@ -72,10 +72,6 @@ type Cost struct {
 	// PlanSource records solve-state provenance: "none" (built inline
 	// for this solve) or "attached" (caller supplied a prebuilt plan).
 	PlanSource string `json:"plan_source,omitempty"`
-	// ResultCache is set by the serving layer: "hit" when the response
-	// came from the result cache (the counters then describe the solve
-	// that populated it), "miss" when this request solved.
-	ResultCache string `json:"result_cache,omitempty"`
 
 	// Per-candidate tables, allocated by EnableVerdicts; int32 bounds
 	// the memory at 12 bytes per candidate.

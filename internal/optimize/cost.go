@@ -32,10 +32,6 @@ type Cost struct {
 	// ShardRectSets is how many per-shard rect extractions fed the
 	// global sweep (1 on the unsharded path).
 	ShardRectSets int64 `json:"shard_rect_sets,omitempty"`
-
-	// ResultCache is the serving-layer provenance: "hit", "miss" or
-	// empty outside the server.
-	ResultCache string `json:"result_cache,omitempty"`
 }
 
 // PairWork is the object-pair total to hold against a dense grid's

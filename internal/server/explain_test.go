@@ -25,8 +25,8 @@ func sumAccounted(e *ExplainJSON) int64 {
 // pin-par) and a live server's, whose Stats explain reproduces, since
 // explain runs the solver live.
 func TestQueryExplain(t *testing.T) {
-	s := newTestServer(t, Config{CacheSize: -1})
-	live := newTestServer(t, Config{CacheSize: -1, PlanCacheSize: -1})
+	s := newTestServer(t, Config{})
+	live := newTestServer(t, Config{PlanCacheSize: -1})
 	const nCand = 25
 
 	for _, algo := range []string{"na", "pin", "pin-vo", "pin-vo*", "pin-par"} {
@@ -68,9 +68,6 @@ func TestQueryExplain(t *testing.T) {
 			if rows != nCand {
 				t.Errorf("verdict counts sum to %d, want %d (%v)", rows, nCand, e.VerdictCounts)
 			}
-			if e.ResultCache != "miss" {
-				t.Errorf("result cache %q, want \"miss\"", e.ResultCache)
-			}
 		})
 	}
 }
@@ -78,7 +75,7 @@ func TestQueryExplain(t *testing.T) {
 // TestQueryExplainTopK covers the top-t path: k winners, full verdict
 // coverage.
 func TestQueryExplainTopK(t *testing.T) {
-	s := newTestServer(t, Config{CacheSize: -1})
+	s := newTestServer(t, Config{})
 	var resp QueryResponse
 	do(t, s, "POST", "/v1/query", `{"tau":0.5,"algorithm":"pin-vo","k":4,"explain":true}`, &resp)
 	e := resp.Explain
@@ -93,51 +90,11 @@ func TestQueryExplainTopK(t *testing.T) {
 	}
 }
 
-// TestQueryExplainResultCache: a repeated explain'd query is served
-// from the result cache with the original counters re-stamped as a
-// hit — and the stored response is not mutated in the process.
-func TestQueryExplainResultCache(t *testing.T) {
-	s := newTestServer(t, Config{CacheSize: 8})
-	const body = `{"tau":0.5,"algorithm":"pin-vo","explain":true}`
-
-	var first, second, third QueryResponse
-	do(t, s, "POST", "/v1/query", body, &first)
-	do(t, s, "POST", "/v1/query", body, &second)
-	do(t, s, "POST", "/v1/query", body, &third)
-
-	if first.Explain.ResultCache != "miss" {
-		t.Errorf("first: result cache %q, want \"miss\"", first.Explain.ResultCache)
-	}
-	for name, resp := range map[string]*QueryResponse{"second": &second, "third": &third} {
-		if !resp.Cached {
-			t.Errorf("%s: not served from cache", name)
-		}
-		if resp.Explain == nil {
-			t.Fatalf("%s: cached response lost its explain block", name)
-		}
-		if resp.Explain.ResultCache != "hit" {
-			t.Errorf("%s: result cache %q, want \"hit\"", name, resp.Explain.ResultCache)
-		}
-		if got := sumAccounted(resp.Explain); got != resp.Explain.PairsTotal {
-			t.Errorf("%s: accounted %d of %d pairs", name, got, resp.Explain.PairsTotal)
-		}
-	}
-
-	// Explain and non-explain requests must not share cache entries:
-	// the plain request may hit its own earlier entry but never one
-	// with an explain block attached.
-	var plain QueryResponse
-	do(t, s, "POST", "/v1/query", `{"tau":0.5,"algorithm":"pin-vo"}`, &plain)
-	if plain.Explain != nil {
-		t.Errorf("explain-off request served an explain'd cache entry")
-	}
-}
-
-// TestQueryExplainPlanSource: with the result cache off and the index
-// cache on, explain still runs the named solver live — every time, and
-// unaffected by an index the plain query built in between.
+// TestQueryExplainPlanSource: with the index cache on, explain still
+// runs the named solver live — every time, and unaffected by an index
+// the plain query built in between.
 func TestQueryExplainPlanSource(t *testing.T) {
-	s := newTestServer(t, Config{CacheSize: -1, PlanCacheSize: 8})
+	s := newTestServer(t, Config{PlanCacheSize: 8})
 	const body = `{"tau":0.5,"algorithm":"pin-vo","explain":true}`
 
 	var first, second QueryResponse
@@ -158,9 +115,8 @@ func TestQueryExplainPlanSource(t *testing.T) {
 	}
 }
 
-// benchServer builds a Server for the explain benchmarks: result cache
-// off (so every request solves), index cache on (so plain queries are
-// index lookups).
+// benchServer builds a Server for the explain benchmarks: index cache
+// on, so plain queries are index lookups.
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	rng := rand.New(rand.NewSource(42))
@@ -180,7 +136,7 @@ func benchServer(b *testing.B) *Server {
 	for i := range cands {
 		cands[i] = geo.Point{X: rng.Float64() * 8, Y: rng.Float64() * 8}
 	}
-	s, err := New(Config{CacheSize: -1, PlanCacheSize: 8, TraceKeep: -1, SlowQuery: -1}, objs, cands)
+	s, err := New(Config{PlanCacheSize: 8, TraceKeep: -1, SlowQuery: -1}, objs, cands)
 	if err != nil {
 		b.Fatalf("New: %v", err)
 	}

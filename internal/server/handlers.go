@@ -47,14 +47,12 @@ type QueryRequest struct {
 	// GOMAXPROCS, negative values are rejected with 400.
 	Workers int `json:"workers"`
 	// TimeoutMs bounds the solve; capped at the server's MaxTimeout,
-	// which also applies when 0.
+	// which also applies when 0. Negative values are rejected with 400.
 	TimeoutMs int `json:"timeout_ms"`
-	// NoCache skips the result cache for this request.
-	NoCache bool `json:"no_cache"`
-	// Explain attaches EXPLAIN accounting to the solve: the response
-	// gains an "explain" block with the per-rule prune breakdown, the
-	// per-candidate verdict table and plan/result-cache provenance, and
-	// the same counters land on the retained trace.
+	// Explain runs the named solver live with EXPLAIN accounting: the
+	// response gains an "explain" block with the per-rule prune
+	// breakdown, the per-candidate verdict table and plan provenance,
+	// and the same counters land on the retained trace.
 	Explain bool `json:"explain"`
 }
 
@@ -76,7 +74,6 @@ type QueryResponse struct {
 	Objects    int             `json:"objects"`
 	Candidates int             `json:"candidates"`
 	Epoch      int64           `json:"epoch"`
-	Cached     bool            `json:"cached"`
 	ElapsedMs  float64         `json:"elapsed_ms"`
 	Stats      core.Stats      `json:"stats"`
 	// TraceID is this request's trace ID (also echoed in the
@@ -88,9 +85,8 @@ type QueryResponse struct {
 }
 
 // ExplainJSON is the EXPLAIN block of a query response: the core.Cost
-// wire counters inlined, the derived prune ratio, and the
-// per-candidate verdict table. On a result-cache hit the counters
-// describe the solve that populated the cache (ResultCache: "hit").
+// wire counters of this request's live solve inlined, the derived
+// prune ratio, and the per-candidate verdict table.
 type ExplainJSON struct {
 	core.Cost
 	PruneRatio    float64            `json:"prune_ratio"`
@@ -297,7 +293,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, _ *http.Request) {
 		"engine_pf":      s.cfg.PF.Name(),
 		"engine_tau":     s.cfg.Tau,
 		"engine_stats":   stats,
-		"cache_entries":  s.cache.len(),
 		"plan_entries":   planEntries,
 		"plan_bytes":     planBytes,
 		"max_inflight":   s.cfg.MaxInflight,
@@ -415,8 +410,8 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, t)
 }
 
-// parseAlgorithm maps the wire names to solvers; pin-par is handled
-// separately by solveQuery.
+// algorithms maps the wire names to solvers; pin-par has no
+// core.Algorithm and is dispatched by solveLive.
 var algorithms = map[string]core.Algorithm{
 	"na":      core.AlgNA,
 	"pin":     core.AlgPinocchio,
@@ -424,20 +419,22 @@ var algorithms = map[string]core.Algorithm{
 	"pin-vo*": core.AlgPinocchioVOStar,
 }
 
-// cacheKey identifies a query result: any mutation moves its shard's
-// epoch — and thereby the epoch VECTOR ekey — invalidating every
-// previously cached entry. The vector, not the scalar sum, keys the
-// entry: two different populations can share a sum but never a
-// vector. Workers are excluded — they change wall time, never the
-// result. Explain is included — an explain'd response carries a block
-// a plain solve never computed, so the two must not share an entry.
-func cacheKey(ekey string, req *QueryRequest) string {
-	e := 0
-	if req.Explain {
-		e = 1
+// timeoutFor resolves a request's timeout_ms against MaxTimeout,
+// writing a 400 for a negative value: 0 selects zero, and any value
+// past the cap selects the cap. ms is compared with the cap before it
+// becomes a Duration, so a huge value cannot overflow into a negative,
+// already expired deadline.
+func (s *Server) timeoutFor(w http.ResponseWriter, ms int, zero time.Duration) (time.Duration, bool) {
+	switch {
+	case ms < 0:
+		writeErr(w, http.StatusBadRequest, "timeout_ms %d must be non-negative", ms)
+		return 0, false
+	case ms == 0:
+		return zero, true
+	case int64(ms) > s.cfg.MaxTimeout.Milliseconds():
+		return s.cfg.MaxTimeout, true
 	}
-	return fmt.Sprintf("%s|%s|%s|%g|%g|%g|%d|%d",
-		ekey, req.Algorithm, req.PF, req.Rho, req.Lambda, req.Tau, req.K, e)
+	return time.Duration(ms) * time.Millisecond, true
 }
 
 func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
@@ -497,6 +494,10 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, "top-k is not supported for pin-vo*")
 		return
 	}
+	timeout, ok := s.timeoutFor(w, req.TimeoutMs, s.cfg.MaxTimeout)
+	if !ok {
+		return
+	}
 
 	tr := traceFrom(r.Context())
 	tr.SetAlgorithm(req.Algorithm)
@@ -509,33 +510,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := cacheKey(sn.ekey, &req)
-	if !req.NoCache {
-		if cached, ok := s.cache.get(key); ok {
-			recordCache(true)
-			recordQuery(req.Algorithm, true, 0)
-			resp := *cached
-			resp.Cached = true
-			resp.TraceID = obs.TraceIDFrom(r.Context())
-			if cached.Explain != nil {
-				// Clone the explain block before stamping the hit so the
-				// shared cached response stays immutable.
-				ex := *cached.Explain
-				ex.ResultCache = "hit"
-				resp.Explain = &ex
-			}
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-		recordCache(false)
-	}
-
-	timeout := s.cfg.MaxTimeout
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
 	// Basing the deadline on the request context also aborts the solve
 	// when the client disconnects.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
@@ -546,7 +520,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	elapsed := time.Since(start)
 	if err != nil {
 		if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
-			recordQuery(req.Algorithm, false, elapsed)
+			recordQuery(req.Algorithm, elapsed)
 			writeErr(w, http.StatusServiceUnavailable,
 				"query aborted after %v: %v", elapsed.Round(time.Millisecond), err)
 			return
@@ -555,13 +529,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ElapsedMs = float64(elapsed) / float64(time.Millisecond)
-	recordQuery(req.Algorithm, false, elapsed)
+	recordQuery(req.Algorithm, elapsed)
 	s.addWork(&resp.Stats)
-	if !req.NoCache {
-		// The cached copy keeps this TraceID; cache hits overwrite it
-		// with their own request's ID before responding.
-		s.cache.put(key, resp)
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -624,9 +593,8 @@ func (s *Server) solveQuery(ctx context.Context, sn *snapshot, req *QueryRequest
 	if req.Explain {
 		// Only explain'd requests carry a ledger: the served path with
 		// explain off must stay allocation-free for the accounting
-		// layer. This request is solving, so its result-cache verdict
-		// is "miss"; a later cache hit re-stamps the clone.
-		p.Cost = &core.Cost{ResultCache: "miss"}
+		// layer.
+		p.Cost = &core.Cost{}
 		p.Cost.EnableVerdicts(len(sn.candPts))
 	}
 

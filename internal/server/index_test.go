@@ -13,26 +13,10 @@ import (
 	"pinocchio/internal/probfn"
 )
 
-// TestResultCacheZeroDisabled is the regression test for the max == 0
-// edge: a zero-capacity cache must behave as disabled, never as
-// "insert then immediately evict".
-func TestResultCacheZeroDisabled(t *testing.T) {
-	for _, max := range []int{0, -1} {
-		c := newResultCache(max)
-		c.put("k", &QueryResponse{Epoch: 7})
-		if n := c.len(); n != 0 {
-			t.Errorf("max=%d: len after put = %d, want 0", max, n)
-		}
-		if _, ok := c.get("k"); ok {
-			t.Errorf("max=%d: get hit on a disabled cache", max)
-		}
-	}
-}
-
-// TestPlanCacheZeroDisabled mirrors the regression for the index LRU
-// (still sized by PlanCacheSize): a zero-capacity cache builds for its
-// caller and keeps nothing, and a server with the cache disabled
-// answers live and holds no index.
+// TestPlanCacheZeroDisabled is the regression test for the max <= 0
+// edge of the index LRU: a zero-capacity cache builds for its caller
+// and keeps nothing (never "insert then immediately evict"), and a
+// server with the cache disabled answers live and holds no index.
 func TestPlanCacheZeroDisabled(t *testing.T) {
 	p := &core.Problem{
 		Objects:    []*object.Object{object.MustNew(0, []geo.Point{{X: 1, Y: 1}})},
@@ -72,10 +56,9 @@ func TestPlanCacheZeroDisabled(t *testing.T) {
 // influence index and of its build spans query here.
 const indexTau = 0.69
 
-// queryBody builds a /v1/query body; no_cache keeps the result cache
-// out of the way so every request exercises a real solve.
+// queryBody builds a /v1/query body.
 func queryBody(alg string, tau float64, k int) string {
-	return fmt.Sprintf(`{"algorithm":%q,"tau":%g,"k":%d,"no_cache":true}`, alg, tau, k)
+	return fmt.Sprintf(`{"algorithm":%q,"tau":%g,"k":%d}`, alg, tau, k)
 }
 
 // stripVolatile zeroes the fields legitimately allowed to differ
@@ -166,11 +149,11 @@ func TestPlanCacheKeying(t *testing.T) {
 		body    string
 		entries int
 	}{
-		{fmt.Sprintf(`{"algorithm":"pin-vo","tau":%g,"no_cache":true}`, indexTau), 1},
-		{`{"algorithm":"pin-vo","tau":0.5,"no_cache":true}`, 1},
-		{`{"algorithm":"pin-vo","pf":"linear","rho":0.9,"lambda":6,"tau":0.5,"no_cache":true}`, 2},
-		{`{"algorithm":"pin-vo","pf":"powerlaw","rho":0.5,"lambda":1.25,"tau":0.5,"no_cache":true}`, 3},
-		{fmt.Sprintf(`{"algorithm":"pin-vo","tau":%g,"no_cache":true}`, indexTau), 3},
+		{fmt.Sprintf(`{"algorithm":"pin-vo","tau":%g}`, indexTau), 1},
+		{`{"algorithm":"pin-vo","tau":0.5}`, 1},
+		{`{"algorithm":"pin-vo","pf":"linear","rho":0.9,"lambda":6,"tau":0.5}`, 2},
+		{`{"algorithm":"pin-vo","pf":"powerlaw","rho":0.5,"lambda":1.25,"tau":0.5}`, 3},
+		{fmt.Sprintf(`{"algorithm":"pin-vo","tau":%g}`, indexTau), 3},
 	}
 	for i, pc := range params {
 		var got, want QueryResponse

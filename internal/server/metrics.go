@@ -16,8 +16,6 @@ const (
 	mHTTPRequests = "pinocchio_http_requests_total"
 	mHTTPSeconds  = "pinocchio_http_request_seconds"
 	mQueryLatency = "pinocchio_server_query_seconds"
-	mCacheHits    = "pinocchio_server_cache_hits_total"
-	mCacheMisses  = "pinocchio_server_cache_misses_total"
 	mPlanHits     = "pinocchio_server_plan_cache_hits_total"
 	mPlanMisses   = "pinocchio_server_plan_cache_misses_total"
 	mPlanBuild    = "pinocchio_server_plan_build_seconds"
@@ -45,28 +43,13 @@ func recordHTTP(route string, code int, dur time.Duration) {
 		obs.DefBuckets, obs.Labels{"route": route}).Observe(dur.Seconds())
 }
 
-// recordQuery tracks served-query latency per algorithm, split by
-// cache outcome.
-func recordQuery(algo string, cached bool, dur time.Duration) {
+// recordQuery tracks served-query latency per algorithm.
+func recordQuery(algo string, dur time.Duration) {
 	if !obs.Enabled() {
 		return
 	}
-	r := obs.Default()
-	r.Histogram(mQueryLatency, "Served PRIME-LS query latency in seconds.",
-		obs.DefBuckets, obs.Labels{"algo": algo, "cached": strconv.FormatBool(cached)}).
-		Observe(dur.Seconds())
-}
-
-// recordCache counts one cache lookup outcome.
-func recordCache(hit bool) {
-	if !obs.Enabled() {
-		return
-	}
-	if hit {
-		obs.Default().Counter(mCacheHits, "Query result cache hits.", nil).Inc()
-	} else {
-		obs.Default().Counter(mCacheMisses, "Query result cache misses.", nil).Inc()
-	}
+	obs.Default().Histogram(mQueryLatency, "Served PRIME-LS query latency in seconds.",
+		obs.DefBuckets, obs.Labels{"algo": algo}).Observe(dur.Seconds())
 }
 
 // recordPlanCache counts one per-shard influence-index lookup: a hit
@@ -137,22 +120,15 @@ func (s *Server) recordObjects() {
 }
 
 // recordOptimize folds one served optimize run into the registry:
-// outcome counts labeled by resolution and cache verdict, latency,
-// and the work the run's ledger accounted (swept rects, exact
-// refinement solves). Cache hits count an outcome but no work — the
-// run that populated the cache already recorded its own.
-func recordOptimize(resolved, cached bool, dur time.Duration, cost *optimize.Cost) {
+// outcome counts labeled by resolution, latency, and the work the
+// run's ledger accounted (swept rects, exact refinement solves).
+func recordOptimize(resolved bool, dur time.Duration, cost *optimize.Cost) {
 	if !obs.Enabled() {
 		return
 	}
 	r := obs.Default()
-	r.Counter(mOptimizeTotal, "Optimize runs served.", obs.Labels{
-		"resolved": strconv.FormatBool(resolved),
-		"cached":   strconv.FormatBool(cached),
-	}).Inc()
-	if cached {
-		return
-	}
+	r.Counter(mOptimizeTotal, "Optimize runs served.",
+		obs.Labels{"resolved": strconv.FormatBool(resolved)}).Inc()
 	r.Histogram(mOptimizeSeconds, "Optimize run wall time in seconds.",
 		obs.DefBuckets, nil).Observe(dur.Seconds())
 	if cost != nil {

@@ -3,7 +3,6 @@ package server
 import (
 	"context"
 	"errors"
-	"fmt"
 	"net/http"
 	"sync"
 	"time"
@@ -52,10 +51,9 @@ type OptimizeRequest struct {
 	MaxRefine int `json:"max_refine"`
 	// Bounds optionally constrains the placement to a rectangle.
 	Bounds *RectJSON `json:"bounds,omitempty"`
-	// TimeoutMs bounds the optimization; capped at MaxTimeout.
+	// TimeoutMs bounds the optimization; capped at MaxTimeout, which
+	// also applies when 0. Negative values are rejected with 400.
 	TimeoutMs int `json:"timeout_ms"`
-	// NoCache skips the result cache for this request.
-	NoCache bool `json:"no_cache"`
 }
 
 // RegionJSON is one swept region with its cover count on the wire.
@@ -84,24 +82,11 @@ type OptimizeResponse struct {
 	Tau       float64      `json:"tau"`
 	Objects   int          `json:"objects"`
 	Epoch     int64        `json:"epoch"`
-	Cached    bool         `json:"cached"`
 	ElapsedMs float64      `json:"elapsed_ms"`
 	TraceID   string       `json:"trace_id,omitempty"`
-	// Cost is the work ledger: swept rects, sweep events, refinement
-	// cells and exact solves. On a cache hit it describes the run that
-	// populated the cache (ResultCache: "hit").
+	// Cost is this run's work ledger: swept rects, sweep events,
+	// refinement cells and exact solves.
 	Cost *optimize.Cost `json:"cost,omitempty"`
-}
-
-// optimizeKey identifies an optimize result by the epoch vector and
-// every parameter that shapes the answer.
-func optimizeKey(ekey string, req *OptimizeRequest) string {
-	b := ""
-	if req.Bounds != nil {
-		b = fmt.Sprintf("%g,%g,%g,%g", req.Bounds.MinX, req.Bounds.MinY, req.Bounds.MaxX, req.Bounds.MaxY)
-	}
-	return fmt.Sprintf("%s|%s|%g|%g|%g|%d|%d|%s",
-		ekey, req.PF, req.Rho, req.Lambda, req.Tau, req.TopR, req.MaxRefine, b)
 }
 
 func regionsJSON(rs []optimize.Region) []RegionJSON {
@@ -166,6 +151,10 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		}
 		bounds = &b
 	}
+	timeout, ok := s.timeoutFor(w, req.TimeoutMs, s.cfg.MaxTimeout)
+	if !ok {
+		return
+	}
 
 	tr := traceFrom(r.Context())
 	tr.SetAlgorithm("optimize")
@@ -177,33 +166,6 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	key := optimizeKey(sn.ekey, &req)
-	if !req.NoCache {
-		if cached, ok := s.optCache.get(key); ok {
-			recordCache(true)
-			recordOptimize(cached.Resolved, true, 0, cached.Cost)
-			resp := *cached
-			resp.Cached = true
-			resp.TraceID = obs.TraceIDFrom(r.Context())
-			if cached.Cost != nil {
-				// Clone the ledger before stamping the hit so the shared
-				// cached response stays immutable.
-				c := *cached.Cost
-				c.ResultCache = "hit"
-				resp.Cost = &c
-			}
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-		recordCache(false)
-	}
-
-	timeout := s.cfg.MaxTimeout
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; d < timeout {
-			timeout = d
-		}
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 
@@ -220,11 +182,8 @@ func (s *Server) handleOptimize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp.ElapsedMs = float64(elapsed) / float64(time.Millisecond)
-	recordOptimize(resp.Resolved, false, elapsed, resp.Cost)
+	recordOptimize(resp.Resolved, elapsed, resp.Cost)
 	s.addOptimizeWork(resp.Cost)
-	if !req.NoCache {
-		s.optCache.put(key, resp)
-	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -274,7 +233,7 @@ func (s *Server) solveOptimize(ctx context.Context, sn *snapshot, req *OptimizeR
 		}
 	}
 
-	cost := &optimize.Cost{ResultCache: "miss"}
+	cost := &optimize.Cost{}
 	cost.AddShardRectSets(int64(len(sn.parts)))
 	p := &optimize.Problem{
 		PF:        pf,

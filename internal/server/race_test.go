@@ -13,7 +13,7 @@ import (
 // from many goroutines at once — queries, influence reads, and engine
 // mutations all through ServeHTTP — so `go test -race` checks the
 // single-writer/many-reader claim (snapshot reads outside the lock,
-// epoch-keyed cache, lazy snapshot rebuild).
+// lazy snapshot rebuild).
 func TestConcurrentQueriesAndMutations(t *testing.T) {
 	s := newTestServer(t, Config{MaxInflight: 64})
 
@@ -23,15 +23,14 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 
-	// Query readers, alternating algorithms and cacheability.
+	// Query readers, alternating algorithms.
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
 			algos := []string{"pin", "pin-vo", "pin-par"}
 			for i := 0; i < iters; i++ {
-				body := fmt.Sprintf(`{"algorithm":%q,"tau":0.6,"no_cache":%v}`,
-					algos[(g+i)%len(algos)], i%2 == 0)
+				body := fmt.Sprintf(`{"algorithm":%q,"tau":0.6}`, algos[(g+i)%len(algos)])
 				rec := do(t, s, "POST", "/v1/query", body, nil)
 				switch rec.Code {
 				case http.StatusOK, http.StatusTooManyRequests:
@@ -105,7 +104,7 @@ func TestConcurrentQueriesAndMutations(t *testing.T) {
 	// The wrapper must come out consistent: a final query agrees with
 	// the engine's own incremental view of the default PF/τ.
 	var resp QueryResponse
-	rec := do(t, s, "POST", "/v1/query", `{"tau":0.7,"no_cache":true}`, &resp)
+	rec := do(t, s, "POST", "/v1/query", `{"tau":0.7}`, &resp)
 	if rec.Code != http.StatusOK {
 		t.Fatalf("final query: %d %s", rec.Code, rec.Body.String())
 	}
@@ -163,8 +162,8 @@ func TestServeStressNo500(t *testing.T) {
 				if i%4 == 3 {
 					pf, tau = ``, engineTau // served from the engine vectors
 				}
-				body := fmt.Sprintf(`{"algorithm":%q,%s"tau":%g,"k":%d,"no_cache":%v,"explain":%v}`,
-					alg, pf, tau, k, i%2 == 0, i%5 == 0)
+				body := fmt.Sprintf(`{"algorithm":%q,%s"tau":%g,"k":%d,"explain":%v}`,
+					alg, pf, tau, k, i%5 == 0)
 				check("query "+body, do(t, s, "POST", "/v1/query", body, nil))
 			}
 		}(g)
@@ -187,8 +186,8 @@ func TestServeStressNo500(t *testing.T) {
 	s.DrainSubscriptions()
 
 	for _, body := range []string{
-		`{"algorithm":"pin-vo","tau":0.45,"k":4,"no_cache":true}`,
-		`{"algorithm":"pin","pf":"linear","rho":0.9,"lambda":6,"tau":0.3,"no_cache":true}`,
+		`{"algorithm":"pin-vo","tau":0.45,"k":4}`,
+		`{"algorithm":"pin","pf":"linear","rho":0.9,"lambda":6,"tau":0.3}`,
 		queryBody("pin-par", engineTau, 4),
 	} {
 		var served, live QueryResponse

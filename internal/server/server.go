@@ -24,10 +24,13 @@
 // together with each engine's influence vector and solve outside any
 // lock on immutable data: per-shard engine vectors (at the engine's
 // PF/τ), influence indexes (at any other) or live per-shard solves sum
-// exactly, since influence is additive over objects. Every mutation bumps its shard's epoch; a
-// shard's next snapshot replaces the old one together with the
-// indexes it owned, and cached results are keyed by the epoch vector,
-// so a mutation invalidates them without blocking in-flight queries.
+// exactly, since influence is additive over objects. Every mutation
+// bumps its shard's epoch; a shard's next snapshot replaces the old one
+// together with the indexes it owned, so a mutation retires them
+// without blocking in-flight queries, and the next query solves against
+// the new population. The influence indexes are the only cache of
+// solve work: every query and optimize call solves against the
+// snapshot it reads.
 // Shards = 1 (the Config default) degenerates to the classic
 // single-writer/many-reader engine.
 //
@@ -86,11 +89,6 @@ type Config struct {
 	// more shards than cores the scatter path still keeps every shard
 	// busy, so admission scales with the wider of the two.
 	MaxInflight int
-
-	// CacheSize is the capacity in entries of each of the two response
-	// caches, the query result cache and the optimize cache (default
-	// 128; negative disables both).
-	CacheSize int
 
 	// PlanCacheSize bounds how many influence indexes are held
 	// (default 32; negative disables them, and every query then runs
@@ -180,9 +178,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 2 * max(runtime.GOMAXPROCS(0), c.Shards)
 	}
-	if c.CacheSize == 0 {
-		c.CacheSize = 128
-	}
 	if c.PlanCacheSize == 0 {
 		c.PlanCacheSize = 32
 	}
@@ -218,11 +213,8 @@ func (c Config) withDefaults() Config {
 // built and points are values, so readers never see a mutation.
 type snapshot struct {
 	// epoch is the global epoch (Σ per-shard epochs): the wire-visible
-	// version number. ekey is the per-shard epoch VECTOR ("e0.e1…"),
-	// the result-cache key — two different populations can share a sum
-	// but never a vector.
+	// version number.
 	epoch   int64
-	ekey    string
 	objects []*object.Object
 	candIDs []int
 	candPts []geo.Point
@@ -292,8 +284,9 @@ type Server struct {
 	objMu   sync.Mutex
 
 	// snap caches the latest combined snapshot; rebuilt lazily when any
-	// shard moved. Concurrent rebuilds are harmless (last store wins,
-	// all stores are equivalent for one epoch vector).
+	// shard moved. A rebuild publishes with CompareAndSwap and never
+	// replaces a snapshot at a larger epoch sum, so a slow rebuilder
+	// cannot put an older population back.
 	snap atomic.Pointer[snapshot]
 
 	// scatterSolves counts queries dispatched through the scatter-
@@ -316,10 +309,8 @@ type Server struct {
 	ckptRunning atomic.Bool
 	ckptWG      sync.WaitGroup
 
-	cache    *lruCache[*QueryResponse]
-	optCache *lruCache[*OptimizeResponse]
-	indexes  *indexCache
-	mux      *http.ServeMux
+	indexes *indexCache
+	mux     *http.ServeMux
 
 	// subs manages standing-query subscriptions; nil when MaxSubs < 0.
 	// The server itself is the manager's solve backend.
@@ -342,9 +333,9 @@ type Server struct {
 	// nil when Config.SLOs is empty.
 	slo *obs.SLOMonitor
 
-	// Cumulative solved-query work, fed by every real solve (cache hits
-	// excluded — they do no work) and surfaced in /v1/status so
-	// work-per-query trends are visible without the metrics endpoint.
+	// Cumulative solved-query work, fed by every answered query and
+	// surfaced in /v1/status so work-per-query trends are visible
+	// without the metrics endpoint.
 	workPairs     atomic.Int64
 	workPruned    atomic.Int64
 	workValidated atomic.Int64
@@ -352,7 +343,7 @@ type Server struct {
 	workQueries   atomic.Int64
 
 	// Cumulative candidate-free placement work (POST /v1/optimize),
-	// fed by every real optimize run (cache hits excluded).
+	// fed by every answered optimize run.
 	optRuns     atomic.Int64
 	optSwept    atomic.Int64
 	optEvents   atomic.Int64
@@ -475,8 +466,6 @@ func NewWithShards(cfg Config, engines []*dynamic.Engine, epochs []int64) (*Serv
 		cfg:         cfg,
 		start:       time.Now(),
 		inflight:    make(chan struct{}, cfg.MaxInflight),
-		cache:       newResultCache(cfg.CacheSize),
-		optCache:    newLRU[*OptimizeResponse](cfg.CacheSize),
 		indexes:     newIndexCache(cfg.PlanCacheSize),
 		mux:         http.NewServeMux(),
 		traces:      traces,

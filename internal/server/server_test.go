@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -98,6 +99,9 @@ func TestQueryValidation(t *testing.T) {
 		{"malformed json", `{"tau":`, 400, "decoding"},
 		{"unknown field", `{"tau":0.5,"taus":0.7}`, 400, "decoding"},
 		{"topk vo-star", `{"tau":0.5,"algorithm":"pin-vo*","k":5}`, 400, "pin-vo*"},
+		{"no_cache", `{"tau":0.5,"no_cache":true}`, 400, "no_cache"},
+		{"negative timeout", `{"tau":0.5,"timeout_ms":-1}`, 400, "timeout_ms"},
+		{"timeout past cap", `{"tau":0.5,"algorithm":"na","timeout_ms":10000000000000}`, 200, ""},
 		{"ok", `{"tau":0.5}`, 200, ""},
 	}
 	for _, tc := range cases {
@@ -166,7 +170,7 @@ func TestQueryDeadline(t *testing.T) {
 	// microscopic server-side cap instead: every solve passes at least
 	// one cancellation boundary on this population.
 	s.cfg.MaxTimeout = 1 // 1ns
-	rec := do(t, s, "POST", "/v1/query", `{"algorithm":"na","tau":0.6,"no_cache":true}`, nil)
+	rec := do(t, s, "POST", "/v1/query", `{"algorithm":"na","tau":0.6}`, nil)
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("expired deadline: code %d, want 503 (body %s)", rec.Code, rec.Body.String())
 	}
@@ -197,43 +201,68 @@ func TestOversizedBody(t *testing.T) {
 	}
 }
 
+// TestCacheAndEpochInvalidation: with no result cache, every query
+// solves against the current snapshot, so a repeat at one epoch returns
+// the same answer, a mutation moves the epoch and the next answer sees
+// it, and /v1/status counts every 200 answer as one solve.
 func TestCacheAndEpochInvalidation(t *testing.T) {
 	s := newTestServer(t, Config{})
-	q := `{"tau":0.6}`
-
-	var first QueryResponse
-	do(t, s, "POST", "/v1/query", q, &first)
-	if first.Cached {
-		t.Fatalf("first query should not be cached")
+	queries := []string{
+		`{"algorithm":"pin","tau":0.7}`,                    // the engine's τ: engine vectors
+		`{"algorithm":"pin-vo","tau":0.65}`,                // an influence index
+		`{"algorithm":"pin-vo","tau":0.65,"explain":true}`, // a live solve
 	}
-	var second QueryResponse
-	do(t, s, "POST", "/v1/query", q, &second)
-	if !second.Cached {
-		t.Fatalf("second identical query should hit the cache")
-	}
-	if second.Best != first.Best {
-		t.Fatalf("cached best %+v != %+v", second.Best, first.Best)
-	}
-
-	// Any mutation moves the epoch, so the same query recomputes.
-	rec := do(t, s, "POST", "/v1/candidates", `{"x":1.0,"y":1.0}`, nil)
-	if rec.Code != http.StatusCreated {
-		t.Fatalf("add candidate: %d %s", rec.Code, rec.Body.String())
-	}
-	var third QueryResponse
-	do(t, s, "POST", "/v1/query", q, &third)
-	if third.Cached {
-		t.Fatalf("query after mutation should miss the cache")
-	}
-	if third.Epoch != first.Epoch+1 {
-		t.Fatalf("epoch %d, want %d", third.Epoch, first.Epoch+1)
+	solved := 0
+	query := func(body string) QueryResponse {
+		t.Helper()
+		var resp QueryResponse
+		if rec := do(t, s, "POST", "/v1/query", body, &resp); rec.Code != http.StatusOK {
+			t.Fatalf("%s: %d %s", body, rec.Code, rec.Body.String())
+		}
+		solved++
+		return resp
 	}
 
-	// no_cache bypasses both lookup and store.
-	var fourth QueryResponse
-	do(t, s, "POST", "/v1/query", `{"tau":0.6,"no_cache":true}`, &fourth)
-	if fourth.Cached {
-		t.Fatalf("no_cache query must not be served from cache")
+	before := make([]QueryResponse, len(queries))
+	for i, q := range queries {
+		before[i] = query(q)
+		if again := query(q); !reflect.DeepEqual(answerOf(again), answerOf(before[i])) {
+			t.Errorf("%s: repeat at one epoch differs\nfirst:  %+v\nrepeat: %+v", q, before[i], again)
+		}
+	}
+
+	// One new object with a position on every query's best candidate
+	// raises each best influence by exactly one: PF(0) = ρ = 0.9 meets
+	// every τ asked here, and no candidate gains more than the object.
+	pos := make([]string, len(before))
+	for i, b := range before {
+		pos[i] = fmt.Sprintf(`{"x":%g,"y":%g}`, b.Best.X, b.Best.Y)
+	}
+	body := fmt.Sprintf(`{"id":900,"positions":[%s]}`, strings.Join(pos, ","))
+	if rec := do(t, s, "POST", "/v1/objects", body, nil); rec.Code != http.StatusCreated {
+		t.Fatalf("add object: %d %s", rec.Code, rec.Body.String())
+	}
+	for i, q := range queries {
+		after := query(q)
+		if after.Epoch != before[i].Epoch+1 || after.Objects != before[i].Objects+1 {
+			t.Errorf("%s: epoch %d with %d objects after the add, want %d with %d",
+				q, after.Epoch, after.Objects, before[i].Epoch+1, before[i].Objects+1)
+		}
+		if after.Best.Influence != before[i].Best.Influence+1 {
+			t.Errorf("%s: best influence %d after the add, want %d",
+				q, after.Best.Influence, before[i].Best.Influence+1)
+		}
+	}
+
+	var st struct {
+		Work struct {
+			QueriesSolved int `json:"queries_solved"`
+		} `json:"work"`
+	}
+	do(t, s, "GET", "/v1/status", "", &st)
+	if st.Work.QueriesSolved != solved {
+		t.Errorf("status work: %d queries solved, want %d (one per 200 answer)",
+			st.Work.QueriesSolved, solved)
 	}
 }
 

@@ -22,17 +22,16 @@
 // per-shard states is a state some serialization of the mutations
 // passes through; candidate mutations, which cross shards, exclude
 // snapshot assembly via topoMu, so the candidate set is never torn.
-// The global epoch is the sum of the per-shard epochs and result-cache
-// keys use the per-shard epoch VECTOR (ekey), never the sum — (5,3)
-// and (4,4) are different populations with the same sum.
+// The global epoch is the sum of the per-shard epochs: every applied
+// record raises it, but (5,3) and (4,4) are different populations with
+// the same sum, so no cache is keyed on it — influence indexes belong
+// to the shard snapshot they were built over.
 package server
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"strconv"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -190,14 +189,11 @@ func (s *Server) snapshotNow() *snapshot {
 		return old
 	}
 	var epoch int64
-	ekey := make([]string, len(parts))
-	for i, ps := range parts {
+	for _, ps := range parts {
 		epoch += ps.epoch
-		ekey[i] = strconv.FormatInt(ps.epoch, 10)
 	}
 	sn := &snapshot{
 		epoch:   epoch,
-		ekey:    strings.Join(ekey, "."),
 		cs:      cs,
 		candIDs: cs.ids,
 		candPts: cs.pts,

@@ -50,7 +50,7 @@ func TestShardedQueryParity(t *testing.T) {
 		}
 		for _, tc := range cases {
 			name := fmt.Sprintf("n=%d/%s/k=%d", n, tc.alg, tc.k)
-			body := fmt.Sprintf(`{"algorithm":%q,"tau":0.7,"k":%d,"no_cache":true,"explain":true}`, tc.alg, tc.k)
+			body := fmt.Sprintf(`{"algorithm":%q,"tau":0.7,"k":%d,"explain":true}`, tc.alg, tc.k)
 			var want, got QueryResponse
 			if rec := do(t, base, "POST", "/v1/query", body, &want); rec.Code != http.StatusOK {
 				t.Fatalf("%s: baseline query: %d %s", name, rec.Code, rec.Body.String())
@@ -67,7 +67,7 @@ func TestShardedQueryParity(t *testing.T) {
 		// The index path: a first query builds every shard's index, a
 		// second looks them up; both match the 1-shard server, Stats
 		// included.
-		body := `{"algorithm":"pin","tau":0.7,"no_cache":true}`
+		body := `{"algorithm":"pin","tau":0.7}`
 		for pass := 0; pass < 2; pass++ {
 			var want, got QueryResponse
 			do(t, base, "POST", "/v1/query", body, &want)
@@ -108,7 +108,7 @@ func TestShardedMutationParity(t *testing.T) {
 		}
 	}
 	for _, alg := range []string{"na", "pin", "pin-par", "pin-vo"} {
-		body := fmt.Sprintf(`{"algorithm":%q,"tau":0.7,"no_cache":true}`, alg)
+		body := fmt.Sprintf(`{"algorithm":%q,"tau":0.7}`, alg)
 		var want, got QueryResponse
 		do(t, base, "POST", "/v1/query", body, &want)
 		do(t, sharded, "POST", "/v1/query", body, &got)
@@ -196,7 +196,7 @@ func TestShardedEpochAccounting(t *testing.T) {
 	}
 
 	// A scattered query bumps the scatter counters.
-	do(t, s, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7,"no_cache":true}`, nil)
+	do(t, s, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7}`, nil)
 	_, _, solves := readStatus()
 	if solves < 1 {
 		t.Fatalf("scatter_solves = %v after a scattered query", solves)
@@ -308,7 +308,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 		`{"appends":[{"id":0,"positions":[{"x":1,"y":1}]},{"id":1,"positions":[{"x":5,"y":5}]},{"id":2,"positions":[{"x":3,"y":3}]}]}`)
 	doJSON(t, srv, "DELETE", "/v1/objects/3", "")
 
-	before := doJSON(t, srv, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7,"no_cache":true}`)
+	before := doJSON(t, srv, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7}`)
 	bestBefore := doJSON(t, srv, "GET", "/v1/best", "")
 	statusBefore := doJSON(t, srv, "GET", "/v1/status", "")
 	if statusBefore["durable"] != true {
@@ -320,7 +320,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 		st.Close()
 	}
 	srv2, stores2 := shardedDurableServer(t, dir, n)
-	after := doJSON(t, srv2, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7,"no_cache":true}`)
+	after := doJSON(t, srv2, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7}`)
 	bestAfter := doJSON(t, srv2, "GET", "/v1/best", "")
 	for _, key := range []string{"best", "objects", "candidates", "epoch", "stats"} {
 		if fmt.Sprint(before[key]) != fmt.Sprint(after[key]) {
@@ -336,7 +336,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 		t.Fatalf("CheckpointNow: %v", err)
 	}
 	doJSON(t, srv2, "POST", "/v1/objects/4/positions", `{"positions":[{"x":4.5,"y":4.5}]}`)
-	want := doJSON(t, srv2, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7,"no_cache":true}`)
+	want := doJSON(t, srv2, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7}`)
 	for _, st := range stores2 {
 		st.Close()
 	}
@@ -346,7 +346,7 @@ func TestShardedDurableRecovery(t *testing.T) {
 			st.Close()
 		}
 	}()
-	got := doJSON(t, srv3, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7,"no_cache":true}`)
+	got := doJSON(t, srv3, "POST", "/v1/query", `{"algorithm":"pin","tau":0.7}`)
 	for _, key := range []string{"best", "objects", "candidates", "epoch", "stats"} {
 		if fmt.Sprint(want[key]) != fmt.Sprint(got[key]) {
 			t.Errorf("checkpoint restart: query %s diverged: %v vs %v", key, want[key], got[key])

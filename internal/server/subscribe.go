@@ -369,12 +369,13 @@ func (s *Server) handleSubPoll(w http.ResponseWriter, r *http.Request) {
 	timeout := s.cfg.MaxTimeout
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
 		ms, err := strconv.Atoi(v)
-		if err != nil || ms < 0 {
+		if err != nil {
 			writeErr(w, http.StatusBadRequest, "bad timeout_ms %q: want a non-negative integer", v)
 			return
 		}
-		if d := time.Duration(ms) * time.Millisecond; d < timeout {
-			timeout = d
+		// An explicit 0 checks for events without waiting.
+		if timeout, ok = s.timeoutFor(w, ms, 0); !ok {
+			return
 		}
 	}
 	timer := time.NewTimer(timeout)

@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"pinocchio/internal/core"
 	"pinocchio/internal/geo"
@@ -617,13 +618,26 @@ func TestSSEResumeUnderConcurrentPublish(t *testing.T) {
 }
 
 func TestPollTimeoutAndDelivery(t *testing.T) {
-	s := newFlipServer(t, Config{})
+	s := newFlipServer(t, Config{MaxTimeout: 300 * time.Millisecond})
 	resp, _ := registerSub(t, s, fmt.Sprintf(`{"tau":%g}`, subTau))
 
 	// Nothing past version 1 yet: a short poll times out with 204.
 	rec := do(t, s, "GET", resp.Poll+"?after=1&timeout_ms=50", "", nil)
 	if rec.Code != http.StatusNoContent {
 		t.Fatalf("idle poll: %d %s", rec.Code, rec.Body.String())
+	}
+	// A timeout past the cap waits the whole cap: it must not overflow
+	// into a negative duration that ends the poll at once. An explicit
+	// 0 checks without waiting.
+	start := time.Now()
+	rec = do(t, s, "GET", resp.Poll+"?after=1&timeout_ms=10000000000000", "", nil)
+	if waited := time.Since(start); rec.Code != http.StatusNoContent || waited < s.cfg.MaxTimeout {
+		t.Fatalf("poll past the cap: %d after %v, want 204 after at least %v", rec.Code, waited, s.cfg.MaxTimeout)
+	}
+	start = time.Now()
+	rec = do(t, s, "GET", resp.Poll+"?after=1&timeout_ms=0", "", nil)
+	if waited := time.Since(start); rec.Code != http.StatusNoContent || waited >= s.cfg.MaxTimeout {
+		t.Fatalf("zero-timeout poll: %d after %v, want 204 before the %v cap", rec.Code, waited, s.cfg.MaxTimeout)
 	}
 
 	do(t, s, "POST", "/v1/ingest", `{"appends":[{"id":1,"positions":[{"x":10,"y":10}]}]}`, nil)

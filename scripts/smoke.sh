@@ -25,7 +25,7 @@ echo "== start"
 # makes ingest batches pay a real WAL append, so the notify pipeline
 # trace asserted below carries a wal-append stage.
 "$tmp/pinocchiod" -addr 127.0.0.1:0 -addr-file "$tmp/addr" \
-    -scale 0.05 -candidates 50 -cache-size 16 \
+    -scale 0.05 -candidates 50 \
     -data-dir "$tmp/main-state" \
     -slow-query 1us 2>"$tmp/daemon.log" &
 pid=$!
@@ -54,23 +54,19 @@ echo "== query"
 curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin-vo","k":3}'
 echo
 
-echo "== cached vs uncached parity"
-# The same query answered three ways must agree on the best candidate:
-# an influence-index build, an index lookup, and a result-cache hit.
-# no_cache bypasses only the result cache, so the first two read the
-# index. τ 0.65 is off the engine's 0.7, where queries read the
-# engine's influence vectors instead of an index.
-q='{"tau":0.65,"algorithm":"pin-vo","no_cache":true}'
+echo "== index build vs lookup parity"
+# The same query asked twice must name the same best candidate: the
+# first builds the influence index, the repeat is a lookup in it.
+# τ 0.65 is off the engine's 0.7, where queries read the engine's
+# influence vectors instead of an index.
+q='{"tau":0.65,"algorithm":"pin-vo"}'
 best() { sed 's/^{"best":{\([^}]*\)}.*/\1/'; }
 b1=$(curl -fsS "http://$addr/v1/query" -d "$q" | best)
 b2=$(curl -fsS "http://$addr/v1/query" -d "$q" | best)
-b3=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.65,"algorithm":"pin-vo"}' | best)
-b4=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.65,"algorithm":"pin-vo"}' | best)
 echo "index-build:  $b1"
 echo "index-lookup: $b2"
-echo "result-cache: $b4"
-if [ "$b1" != "$b2" ] || [ "$b1" != "$b3" ] || [ "$b1" != "$b4" ]; then
-    echo "parity violation between cached and uncached solves" >&2
+if [ "$b1" != "$b2" ]; then
+    echo "parity violation between an index build and a lookup" >&2
     exit 1
 fi
 
@@ -78,7 +74,7 @@ echo "== engine-vector parity"
 # At the engine's own PF/τ a query reads the engine's maintained
 # influence vectors, the same ones /v1/best reads, so both must name
 # the same winner with the same influence.
-e1=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin","no_cache":true}' | best)
+e1=$(curl -fsS "http://$addr/v1/query" -d '{"tau":0.7,"algorithm":"pin"}' | best)
 e2=$(curl -fsS "http://$addr/v1/best" | best)
 echo "query: $e1"
 echo "best:  $e2"
@@ -97,7 +93,7 @@ echo "== explain"
 # buckets must partition the pair total exactly, and the per-candidate
 # verdict counts must cover the whole candidate set.
 ex=$(curl -fsS "http://$addr/v1/query" \
-    -d '{"tau":0.7,"algorithm":"pin-vo","no_cache":true,"explain":true}')
+    -d '{"tau":0.7,"algorithm":"pin-vo","explain":true}')
 case "$ex" in
 *'"explain"'*) ;;
 *) echo "query response missing explain block: $ex" >&2; exit 1 ;;
@@ -148,7 +144,7 @@ echo "== request telemetry"
 rid="smoke-trace-1"
 hdrs=$(curl -fsS -D - -o "$tmp/qresp" "http://$addr/v1/query" \
     -H "X-Request-ID: $rid" \
-    -d '{"tau":0.6,"algorithm":"pin","no_cache":true}')
+    -d '{"tau":0.6,"algorithm":"pin"}')
 case "$hdrs" in
 *"X-Request-ID: $rid"* | *"X-Request-Id: $rid"*) ;;
 *) echo "X-Request-ID not echoed:" >&2; echo "$hdrs" >&2; exit 1 ;;
@@ -387,7 +383,7 @@ echo "== crash recovery"
 start_durable() {
     rm -f "$2"
     "$tmp/pinocchiod" -addr 127.0.0.1:0 -addr-file "$2" \
-        -scale 0.05 -candidates 50 -cache-size 16 \
+        -scale 0.05 -candidates 50 \
         -data-dir "$1" -fsync always -checkpoint-every 4 &
     pid=$!
     i=0
@@ -483,7 +479,7 @@ while [ ! -s "$tmp/addr6" ]; do
 done
 addr=$(cat "$tmp/addr6")
 curl -fsS "http://$addr/v1/query" -H "X-Request-ID: smoke-scatter-1" \
-    -d '{"tau":0.7,"algorithm":"pin","no_cache":true}' >/dev/null
+    -d '{"tau":0.7,"algorithm":"pin"}' >/dev/null
 scatter=$(curl -fsS "http://$addr/v1/debug/traces/smoke-scatter-1")
 for span in shard-0 shard-1 shard-2 shard-3; do
     case "$scatter" in
