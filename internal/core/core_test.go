@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pinocchio/internal/geo"
@@ -142,7 +144,9 @@ func TestSinglePair(t *testing.T) {
 
 // TestAlgorithmsAgree is the core cross-validation: on random
 // instances all four algorithms must report the same maximum
-// influence, and the exact algorithms the same influence vector.
+// influence, and the exact algorithms the same influence vector; then
+// every static entry point must answer as NA does on boundary-heavy
+// instances of every PF family.
 func TestAlgorithmsAgree(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
 	for trial := 0; trial < 25; trial++ {
@@ -191,6 +195,93 @@ func TestAlgorithmsAgree(t *testing.T) {
 		if na.BestIndex != pin.BestIndex {
 			t.Fatalf("trial %d: deterministic tie-break differs: NA %d vs PIN %d",
 				trial, na.BestIndex, pin.BestIndex)
+		}
+	}
+
+	// Every static entry point on the index tests' instances for every
+	// PF family: clustered objects plus single-position probes with
+	// candidates at, and an ulp either side of, the distance where
+	// PF = τ for each τ asked.
+	rng = rand.New(rand.NewSource(17))
+	for _, family := range probfn.Families() {
+		for trial := 0; trial < 6; trial++ {
+			pf := indexTestPF(t, rng, family)
+			taus := make([]float64, 4)
+			for i := range taus {
+				taus[i] = 0.02 + 0.96*rng.Float64()
+			}
+			p := indexTestProblem(rng, pf, taus)
+			for _, tau := range taus {
+				p.Tau = tau
+				checkSolversMatchNA(t, fmt.Sprintf("%s %v trial %d tau %v", family, pf, trial, tau), p)
+			}
+		}
+	}
+}
+
+// checkSolversMatchNA runs every static entry point on p — PIN,
+// PIN-VO, PIN-VO*, PIN-PAR at 1 and 2 workers, PinocchioObjectTree,
+// every ablation, PinocchioVOTopT, and PIN, PIN-VO, PIN-PAR and top-t
+// with a BuildPlan plan attached — and reports each one whose answer
+// differs from NA's: the influence vector where the solver computes
+// one, the best candidate and its influence, and top-t's ranked
+// prefix.
+func checkSolversMatchNA(t *testing.T, name string, p *Problem) {
+	t.Helper()
+	na, err := NA(p)
+	if err != nil {
+		t.Fatalf("%s: NA: %v", name, err)
+	}
+	pl, err := BuildPlan(p, nil)
+	if err != nil {
+		t.Fatalf("%s: BuildPlan: %v", name, err)
+	}
+	planned := *p
+	planned.Plan = pl
+	type solver struct {
+		name string
+		run  func() (*Result, error)
+	}
+	solvers := []solver{
+		{"PIN", func() (*Result, error) { return Pinocchio(p) }},
+		{"PIN-VO", func() (*Result, error) { return PinocchioVO(p) }},
+		{"PIN-VO*", func() (*Result, error) { return PinocchioVOStar(p) }},
+		{"PIN-PAR/1", func() (*Result, error) { return PinocchioParallel(p, 1) }},
+		{"PIN-PAR/2", func() (*Result, error) { return PinocchioParallel(p, 2) }},
+		{"object-tree", func() (*Result, error) { return PinocchioObjectTree(p) }},
+		{"planned PIN", func() (*Result, error) { return Pinocchio(&planned) }},
+		{"planned PIN-VO", func() (*Result, error) { return PinocchioVO(&planned) }},
+		{"planned PIN-PAR", func() (*Result, error) { return PinocchioParallel(&planned, 2) }},
+	}
+	for _, ab := range allAblations() {
+		solvers = append(solvers, solver{fmt.Sprintf("ablation %+v", ab), func() (*Result, error) { return PinocchioAblated(p, ab) }})
+	}
+	for _, s := range solvers {
+		res, err := s.run()
+		if err != nil {
+			t.Fatalf("%s: %s: %v", name, s.name, err)
+		}
+		if res.Influences != nil {
+			for j := range na.Influences {
+				if res.Influences[j] != na.Influences[j] {
+					t.Errorf("%s: %s influence[%d] = %d, NA %d", name, s.name, j, res.Influences[j], na.Influences[j])
+					break
+				}
+			}
+		}
+		if res.BestIndex != na.BestIndex || res.BestInfluence != na.BestInfluence {
+			t.Errorf("%s: %s best (%d, %d), NA (%d, %d)", name, s.name,
+				res.BestIndex, res.BestInfluence, na.BestIndex, na.BestInfluence)
+		}
+	}
+	want := Rank(na.Influences)[:min(3, len(na.Influences))]
+	for _, q := range []*Problem{p, &planned} {
+		got, _, err := PinocchioVOTopT(q, len(want))
+		if err != nil {
+			t.Fatalf("%s: top-t: %v", name, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: top-t (plan attached: %v) %v, NA %v", name, q.Plan != nil, got, want)
 		}
 	}
 }
@@ -425,21 +516,22 @@ func TestHighOverlapStress(t *testing.T) {
 	}
 }
 
-// TestExtremeTaus exercises thresholds near the ends of (0,1).
+// TestExtremeTaus exercises thresholds near the ends of (0,1) with
+// every static entry point and the index built for τ alone, down to
+// ones below the margin's reach, where the NIB radius bounds each
+// PF(d_i) instead: by the union bound at 1e-7, and so that every
+// factor 1 − PF rounds to 1 at 1e-16.
 func TestExtremeTaus(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	for _, tau := range []float64{0.001, 0.999} {
+	for _, tau := range []float64{0.001, 0.999, 1e-7, 1e-16} {
 		p := randomProblem(rng, 40, 30, tau)
-		na, err := NA(p)
+		checkSolversMatchNA(t, fmt.Sprintf("τ=%v", tau), p)
+		ix, err := BuildIndex(p, tau, tau, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vo, err := PinocchioVO(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if na.BestInfluence != vo.BestInfluence {
-			t.Fatalf("τ=%v: NA %d vs VO %d", tau, na.BestInfluence, vo.BestInfluence)
+		if got, want := indexInfluences(t, ix, len(p.Candidates), tau), naInfluences(t, p, tau); !reflect.DeepEqual(got, want) {
+			t.Errorf("τ=%v: index %v, NA %v", tau, got, want)
 		}
 	}
 }

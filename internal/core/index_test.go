@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"reflect"
@@ -40,9 +41,10 @@ func naInfluences(t *testing.T, p *Problem, tau float64) []int {
 // one ulp on either side of, the distance where PF = τ — the pairs
 // whose verdict rounding decides. The index must agree with NA in
 // every case, whether built for τ alone, for the 1/64-grid cell around
-// it, or for a wide interval.
+// it, or for a wide interval, and so must every static solver entry
+// point (checkSolversMatchNA).
 func TestIndexBoundaryProbe(t *testing.T) {
-	taus := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45}
+	taus := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, 0.7}
 	for _, rho := range []float64{0.5, 0.7, 0.9} {
 		pf := probfn.PowerLaw{Rho: rho, D0: 1, Lambda: 1}
 		for _, tau := range taus {
@@ -68,6 +70,8 @@ func TestIndexBoundaryProbe(t *testing.T) {
 						t.Errorf("rho %v tau %v dist %v interval %v: index %v, NA %v", rho, tau, dist, iv, got, want)
 					}
 				}
+				p.Tau = tau
+				checkSolversMatchNA(t, fmt.Sprintf("rho %v tau %v dist %v", rho, tau, dist), p)
 			}
 		}
 	}

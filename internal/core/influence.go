@@ -2,6 +2,7 @@ package core
 
 import (
 	"pinocchio/internal/geo"
+	"pinocchio/internal/object"
 	"pinocchio/internal/probfn"
 )
 
@@ -30,12 +31,13 @@ func influencedFull(pf probfn.Func, tau float64, c geo.Point, positions []geo.Po
 }
 
 // influencedEarlyStop decides Definition 2 with Strategy 2 (Lemma 4):
-// maintain the partial non-influence probability Π(1−Pr_c(p_i)) and
-// stop as soon as it drops to 1−τ, because the remaining factors can
-// only shrink it further. The order of positions does not affect
-// correctness, only how early the stop triggers.
+// maintain the partial non-influence product Π(1−Pr_c(p_i)) and stop
+// as soon as it falls to object.EarlyStopBar(τ), because the remaining
+// factors can only shrink it further; a product that never reaches the
+// bar is decided by 1 − Π ≥ τ. The product runs in position order with
+// NA's float operations, so the verdict is NA's.
 func influencedEarlyStop(pf probfn.Func, tau float64, c geo.Point, positions []geo.Point, st *Stats) bool {
-	bar := 1 - tau
+	bar := object.EarlyStopBar(tau)
 	nonInf := 1.0
 	for i, p := range positions {
 		st.PositionProbes++
@@ -47,5 +49,5 @@ func influencedEarlyStop(pf probfn.Func, tau float64, c geo.Point, positions []g
 			return true
 		}
 	}
-	return false
+	return 1-nonInf >= tau
 }

@@ -11,9 +11,9 @@ import (
 // per-object pruning + validation loop shards objects across workers.
 // Each worker accumulates a private influence vector and Stats, merged
 // at the end, so there is no contention on the hot path. The candidate
-// R-tree and the minMaxRadius table are built once and read
-// concurrently (searches do not mutate the tree; the radius table is
-// pre-populated before the workers start).
+// R-tree and the A_2D array are built once and read concurrently
+// (searches do not mutate the tree, and each A_2D entry carries its
+// own radii).
 //
 // Results are identical to Pinocchio; only wall-clock time differs.
 func PinocchioParallel(p *Problem, workers int) (*Result, error) {
@@ -33,9 +33,9 @@ func PinocchioParallel(p *Problem, workers int) (*Result, error) {
 	st := &res.Stats
 	st.PairsTotal = int64(len(p.Objects)) * int64(m)
 
-	// buildA2D pre-computes every per-object radius, so the shared
-	// table is read-only afterwards; a prebuilt plan is immutable by
-	// construction and shared the same way.
+	// A_2D holds every per-object radius, so the workers only read it;
+	// a prebuilt plan is immutable by construction and shared the same
+	// way.
 	a2d, tree, prunes := p.solveState(st)
 
 	if workers > len(a2d) {

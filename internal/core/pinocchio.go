@@ -9,16 +9,16 @@ import (
 
 // a2dEntry is one tuple of the moving-object 2D array A_2D built by
 // Algorithm 1: the object's positions plus its precomputed pruning
-// geometry (IA and NIB, both induced by minMaxRadius).
+// geometry (IA and NIB, from the margin-checked radii).
 type a2dEntry struct {
 	obj     *object.Object
-	regions object.Regions
+	regions object.MarginRegions
 }
 
-// buildA2D runs Algorithm 1: for each object, memoize
-// minMaxRadius(τ, n_k) in the per-n table HM and derive the IA/NIB
-// geometry from MBR(O_k). This is the sequential per-solve path;
-// BuildPlan uses computeA2D's parallel construction for cold builds.
+// buildA2D runs Algorithm 1: for each object, memoize its radii per n_k
+// in the table HM (object.MarginTable) and derive the IA/NIB geometry
+// from MBR(O_k). This is the sequential per-solve path; BuildPlan uses
+// computeA2D's parallel construction for cold builds.
 func buildA2D(p *Problem, st *Stats) []a2dEntry {
 	a2d, distinct := computeA2D(p.Objects, p.PF, p.Tau, 1)
 	st.DistinctN = distinct

@@ -120,64 +120,52 @@ func BuildPlan(p *Problem, ct *CandTree) (*Plan, error) {
 	return pl, nil
 }
 
-// computeA2D runs Algorithm 1 over an explicit object set. workers > 1
-// shards objects across goroutines, each with a private minMaxRadius
-// memo (re-deriving a radius per worker is cheaper than sharing a
-// locked table); the reported distinct-n count is the union across
-// shards, matching the sequential table size.
+// computeA2D runs Algorithm 1 over an explicit object set, with the
+// margin-checked radii of object.MarginTable at τ. workers > 1 shards
+// objects across goroutines, each with a private table (the table is
+// not safe for concurrent use, and re-deriving a radius per worker is
+// cheaper than sharing a locked one); the reported distinct-n count is
+// the union of the workers' tables, matching the sequential table size.
 func computeA2D(objects []*object.Object, pf probfn.Func, tau float64, workers int) ([]a2dEntry, int) {
 	a2d := make([]a2dEntry, len(objects))
 	if workers <= 1 || len(objects) < workers {
-		hm := object.NewRadiusTable(pf, tau)
+		radii := object.NewMarginTable(pf, tau, tau)
 		for k, o := range objects {
-			a2d[k] = a2dEntry{obj: o, regions: object.NewRegions(o, hm.Get(o.N()))}
+			a2d[k] = a2dEntry{obj: o, regions: radii.Regions(o)}
 		}
-		return a2d, hm.Len()
+		return a2d, radii.Len()
 	}
-	seen := make([]map[int]struct{}, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			hm := object.NewRadiusTable(pf, tau)
-			ns := map[int]struct{}{}
+			radii := object.NewMarginTable(pf, tau, tau)
 			for k := w; k < len(objects); k += workers {
-				o := objects[k]
-				ns[o.N()] = struct{}{}
-				a2d[k] = a2dEntry{obj: o, regions: object.NewRegions(o, hm.Get(o.N()))}
+				a2d[k] = a2dEntry{obj: objects[k], regions: radii.Regions(objects[k])}
 			}
-			seen[w] = ns
 		}(w)
 	}
 	wg.Wait()
-	union := map[int]struct{}{}
-	for _, ns := range seen {
-		for n := range ns {
-			union[n] = struct{}{}
-		}
+	distinct := map[int]struct{}{}
+	for _, o := range objects {
+		distinct[o.N()] = struct{}{}
 	}
-	return a2d, len(union)
+	return a2d, len(distinct)
 }
 
-// computePrunes runs Algorithm 2's scan phase once per object and
-// records the classification. The R-tree is read-only under search, so
-// workers share it without locking.
+// computePrunes runs Algorithm 2's scan phase (pruneObject, as a live
+// solve does) once per object and records the classification. The
+// R-tree is read-only under search, so workers share it without
+// locking.
 func computePrunes(ctx context.Context, tree *rtree.Tree, a2d []a2dEntry, workers int) ([]objPrune, error) {
 	prunes := make([]objPrune, len(a2d))
 	scan := func(k int) {
 		var pr objPrune
-		tree.SearchRect(a2d[k].regions.NIBBox(), func(it rtree.Item) bool {
-			switch a2d[k].regions.Classify(it.Point) {
-			case object.Influenced:
-				pr.ia = append(pr.ia, int32(it.ID))
-			case object.NeedsValidation:
-				pr.vs = append(pr.vs, int32(it.ID))
-			default:
-				pr.arcs++
-			}
-			return true
-		})
+		_, _, arcs := pruneObject(tree, a2d[k], nil,
+			func(cand int) { pr.ia = append(pr.ia, int32(cand)) },
+			func(cand int) { pr.vs = append(pr.vs, int32(cand)) })
+		pr.arcs = int32(arcs)
 		prunes[k] = pr
 	}
 	if workers <= 1 || len(a2d) < workers {

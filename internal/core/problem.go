@@ -182,7 +182,7 @@ type Stats struct {
 	// HeapPops counts candidates fully processed by the VO heap loop.
 	HeapPops int64
 	// DistinctN is the number of distinct position counts, i.e. the
-	// size of the minMaxRadius memo table (HashMap HM of Algorithm 1).
+	// size of the radius memo table HM of Algorithm 1 (object.MarginTable).
 	DistinctN int
 }
 

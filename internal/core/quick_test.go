@@ -90,15 +90,9 @@ func TestQuickInfluenceMonotoneInTau(t *testing.T) {
 // version of the region soundness test).
 func TestQuickClassifyConsistentWithDecision(t *testing.T) {
 	pf := probfn.DefaultPowerLaw()
-	rt := map[float64]*object.RadiusTable{}
 	f := func(pc pairCase) bool {
-		table, ok := rt[pc.tau]
-		if !ok {
-			table = object.NewRadiusTable(pf, pc.tau)
-			rt[pc.tau] = table
-		}
 		o := object.MustNew(0, pc.positions)
-		regions := object.NewRegions(o, table.Get(o.N()))
+		regions := object.NewMarginTable(pf, pc.tau, pc.tau).Regions(o)
 		var st Stats
 		inf := influencedFull(pf, pc.tau, pc.candidate, pc.positions, &st)
 		switch regions.Classify(pc.candidate) {

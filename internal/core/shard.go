@@ -123,7 +123,7 @@ func SolveSharded(p *Problem, parts []*Problem, solve ShardSolve) (*Result, erro
 
 	// PairsTotal and DistinctN over the parent: the per-part values sum
 	// (respectively max-merge) to something else. DistinctN is the size
-	// of the minMaxRadius memo table an unsharded solve would build —
+	// of the radius memo table an unsharded solve would build —
 	// the number of distinct position counts across ALL objects — which
 	// the per-part union can only under-count through Merge's max. A
 	// solver that never builds the table (NA) reports 0 everywhere, and

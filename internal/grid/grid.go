@@ -109,19 +109,20 @@ func (g *Index) cellRange(r geo.Rect) (cx0, cy0, cx1, cy1 int, ok bool) {
 	if !r.Intersects(g.bounds) {
 		return 0, 0, 0, 0, false
 	}
-	clamp := func(v, hi int) int {
-		if v < 0 {
+	// Clamped as floats: converting ±Inf (an unbounded rect) to int is undefined.
+	clamp := func(v float64, hi int) int {
+		if !(v >= 0) {
 			return 0
 		}
-		if v >= hi {
+		if v >= float64(hi) {
 			return hi - 1
 		}
-		return v
+		return int(v)
 	}
-	cx0 = clamp(int((r.Min.X-g.bounds.Min.X)/g.cellSize), g.cols)
-	cy0 = clamp(int((r.Min.Y-g.bounds.Min.Y)/g.cellSize), g.rows)
-	cx1 = clamp(int((r.Max.X-g.bounds.Min.X)/g.cellSize), g.cols)
-	cy1 = clamp(int((r.Max.Y-g.bounds.Min.Y)/g.cellSize), g.rows)
+	cx0 = clamp((r.Min.X-g.bounds.Min.X)/g.cellSize, g.cols)
+	cy0 = clamp((r.Min.Y-g.bounds.Min.Y)/g.cellSize, g.rows)
+	cx1 = clamp((r.Max.X-g.bounds.Min.X)/g.cellSize, g.cols)
+	cy1 = clamp((r.Max.Y-g.bounds.Min.Y)/g.cellSize, g.rows)
 	return cx0, cy0, cx1, cy1, true
 }
 

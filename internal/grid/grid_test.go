@@ -2,6 +2,7 @@ package grid
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -171,5 +172,20 @@ func TestQueryOutsideBounds(t *testing.T) {
 	})
 	if count != 0 {
 		t.Errorf("disjoint query found %d", count)
+	}
+}
+
+// TestUnboundedQuery: a rect with infinite sides (an object's NIB box
+// when it has no finite NIB radius) returns every item.
+func TestUnboundedQuery(t *testing.T) {
+	g, _ := New(randomItems(rand.New(rand.NewSource(40)), 50), 8)
+	inf := math.Inf(1)
+	count := 0
+	g.SearchRect(geo.Rect{Min: geo.Point{X: -inf, Y: -inf}, Max: geo.Point{X: inf, Y: inf}}, func(Item) bool {
+		count++
+		return true
+	})
+	if count != 50 {
+		t.Errorf("unbounded query found %d of 50", count)
 	}
 }

@@ -2,9 +2,7 @@ package object
 
 import (
 	"math"
-	"sync"
 
-	"pinocchio/internal/geo"
 	"pinocchio/internal/probfn"
 )
 
@@ -25,52 +23,6 @@ func MinMaxRadius(pf probfn.Func, tau float64, n int) float64 {
 	return pf.Inverse(p)
 }
 
-// RadiusTable memoizes minMaxRadius per position count n — the HashMap
-// HM of Algorithm 1. The number of distinct n across a dataset is far
-// smaller than the number of objects, so the PF inverse is evaluated
-// once per distinct n. Safe for concurrent readers once sealed;
-// the plain Get path is not goroutine-safe (matching the paper's
-// single-threaded algorithms), use GetLocked from concurrent code.
-type RadiusTable struct {
-	pf  probfn.Func
-	tau float64
-	hm  map[int]float64
-	mu  sync.Mutex
-}
-
-// NewRadiusTable returns an empty memo table for the given PF and τ.
-func NewRadiusTable(pf probfn.Func, tau float64) *RadiusTable {
-	return &RadiusTable{pf: pf, tau: tau, hm: make(map[int]float64)}
-}
-
-// Tau returns the probability threshold the table was built for.
-func (rt *RadiusTable) Tau() float64 { return rt.tau }
-
-// PF returns the probability function the table was built for.
-func (rt *RadiusTable) PF() probfn.Func { return rt.pf }
-
-// Get returns minMaxRadius(τ, n), computing and caching it on first
-// use.
-func (rt *RadiusTable) Get(n int) float64 {
-	if r, ok := rt.hm[n]; ok {
-		return r
-	}
-	r := MinMaxRadius(rt.pf, rt.tau, n)
-	rt.hm[n] = r
-	return r
-}
-
-// GetLocked is Get guarded by a mutex, for use by concurrent
-// validation workers.
-func (rt *RadiusTable) GetLocked(n int) float64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.Get(n)
-}
-
-// Len returns the number of distinct n cached so far.
-func (rt *RadiusTable) Len() int { return len(rt.hm) }
-
 // margin is the relative slack of the margin-checked radii (nibRadius,
 // iaRadius). A pair is dropped (NIB) or counted as influenced (IA) on
 // geometry alone only when its exact non-influence product clears the
@@ -86,12 +38,25 @@ const margin = 1e-6
 // be influenced at any τ ≥ tau, checked by evaluating PF forward: with
 // every position beyond the radius (less the float slop of the
 // geometric test), the product stays above (1 − tau)(1 + margin).
-// +Inf (no pruning) when no such radius is found.
+// Below tau ≈ 2·margin that bar passes 1, and the radius instead
+// bounds every PF(d_i) by p, checked forward the same way: by the
+// union bound, p = tau/(2n) gives 1 − Π ≤ tau/2, which NA's product,
+// off by about nε (ε = 2⁻⁵²), keeps short of tau while 4nε ≤ tau;
+// below that, p = 2⁻⁵⁵ rounds every factor 1 − PF(d_i) to 1, so NA's
+// Π is exactly 1. +Inf (no pruning) when no such radius is found.
 func nibRadius(pf probfn.Func, tau float64, n int) float64 {
 	nf := float64(n)
 	target := (1 - tau) * (1 + 2*margin)
 	if target >= 1 {
-		return math.Inf(1)
+		p := tau / (2 * nf)
+		if 4*nf*0x1p-52 > tau {
+			p = 0x1p-55
+		}
+		r := pf.Inverse(p)
+		if !(pf.Prob(r*(1+margin/2)) <= p) {
+			return math.Inf(1)
+		}
+		return r * (1 + margin)
 	}
 	r := pf.Inverse(1 - math.Pow(target, 1/nf))
 	if !(math.Pow(1-pf.Prob(r*(1+margin/2)), nf) >= (1-tau)*(1+margin)) {
@@ -132,9 +97,12 @@ func EarlyStopBar(tau float64) float64 {
 }
 
 // MarginTable memoizes the margin-checked radii per position count for
-// one PF: the NIB radius at lo and the IA radius at hi, so a pair that
-// either rule settles is decided at every τ of [lo, hi] exactly as the
-// full product decides it. Not safe for concurrent use.
+// one PF, in the role of Algorithm 1's HashMap HM (which memoizes
+// minMaxRadius): the NIB radius at lo and the IA radius at hi, so a
+// pair that either rule settles is decided at every τ of [lo, hi]
+// exactly as the full product decides it. The number of distinct n
+// across a dataset is far smaller than the number of objects, so the
+// PF inverse runs once per distinct n. Not safe for concurrent use.
 type MarginTable struct {
 	pf     probfn.Func
 	lo, hi float64
@@ -163,37 +131,3 @@ func (t *MarginTable) Regions(o *Object) MarginRegions {
 
 // Len returns the number of distinct position counts seen so far.
 func (t *MarginTable) Len() int { return len(t.hm) }
-
-// MarginRegions is the margin-checked counterpart of Regions: the same
-// IA and NIB membership tests, against iaRadius and nibRadius instead
-// of the bare minMaxRadius, so a verdict settled by geometry is the one
-// NA's floating-point product reaches.
-type MarginRegions struct {
-	MBR geo.Rect
-	// NIBSq and IASq are the squared NIB and IA radii; a negative IASq
-	// disables the IA rule.
-	NIBSq, IASq float64
-}
-
-// InIA reports whether every position of the object is within the IA
-// radius of c: the pair is influenced.
-func (r MarginRegions) InIA(c geo.Point) bool { return r.MBR.MaxDistSq(c) <= r.IASq }
-
-// InNIB reports whether c lies within the NIB radius of the MBR;
-// outside it the pair is not influenced.
-func (r MarginRegions) InNIB(c geo.Point) bool { return r.MBR.MinDistSq(c) <= r.NIBSq }
-
-// Classify buckets a candidate per the margin-checked pruning rules.
-func (r MarginRegions) Classify(c geo.Point) Class {
-	if r.InIA(c) {
-		return Influenced
-	}
-	if r.InNIB(c) {
-		return NeedsValidation
-	}
-	return NotInfluenced
-}
-
-// NIBBox returns the MBR of the non-influence boundary: the object MBR
-// expanded by the NIB radius on every side.
-func (r MarginRegions) NIBBox() geo.Rect { return r.MBR.Expand(math.Sqrt(r.NIBSq)) }

@@ -171,46 +171,36 @@ func TestTheorem2(t *testing.T) {
 	}
 }
 
-func TestRadiusTableMemoizes(t *testing.T) {
-	rt := NewRadiusTable(probfn.DefaultPowerLaw(), 0.7)
-	if rt.Tau() != 0.7 {
-		t.Errorf("Tau = %v", rt.Tau())
-	}
-	if rt.PF() == nil {
-		t.Error("PF should round-trip")
-	}
-	a := rt.Get(24)
-	b := rt.Get(24)
-	if a != b {
-		t.Errorf("memoized values differ: %v vs %v", a, b)
-	}
-	if rt.Len() != 1 {
-		t.Errorf("Len = %d after one distinct n", rt.Len())
-	}
-	rt.Get(48)
-	if rt.Len() != 2 {
-		t.Errorf("Len = %d after two distinct n", rt.Len())
-	}
-	if want := MinMaxRadius(probfn.DefaultPowerLaw(), 0.7, 24); a != want {
-		t.Errorf("cached value %v, want %v", a, want)
-	}
-}
-
-func TestRadiusTableGetLockedConcurrent(t *testing.T) {
-	rt := NewRadiusTable(probfn.DefaultPowerLaw(), 0.5)
-	done := make(chan struct{})
-	for g := 0; g < 8; g++ {
-		go func() {
-			defer func() { done <- struct{}{} }()
-			for n := 1; n <= 200; n++ {
-				rt.GetLocked(n)
+// TestNIBRadiusUnionBound: below τ ≈ 2·margin the NIB radius comes
+// from a bound on every PF(d_i): the union bound while 4nε ≤ τ, and
+// factors that round to 1 below that (τ 1e-16). It must stay finite,
+// and no candidate it rules out may be influenced by NA's product.
+func TestNIBRadiusUnionBound(t *testing.T) {
+	pf := probfn.DefaultPowerLaw()
+	rng := rand.New(rand.NewSource(67))
+	for _, tau := range []float64{1e-6, 1e-7, 1e-10, 1e-16} {
+		for _, n := range []int{1, 3, 30} {
+			pts := make([]geo.Point, n)
+			for i := range pts {
+				pts[i] = geo.Point{X: rng.NormFloat64(), Y: rng.NormFloat64()}
 			}
-		}()
-	}
-	for g := 0; g < 8; g++ {
-		<-done
-	}
-	if rt.Len() != 200 {
-		t.Errorf("Len = %d, want 200", rt.Len())
+			o := MustNew(0, pts)
+			r := NewMarginTable(pf, tau, tau).Regions(o)
+			if math.IsInf(r.NIBSq, 0) {
+				t.Fatalf("τ=%v n=%d: no finite NIB radius", tau, n)
+			}
+			nib, center := math.Sqrt(r.NIBSq), o.MBR().Center()
+			for j := 0; j < 200; j++ {
+				ang, d := rng.Float64()*2*math.Pi, nib*(0.3+0.9*rng.Float64())+o.MBR().HalfDiagonal()
+				c := geo.Point{X: center.X + d*math.Cos(ang), Y: center.Y + d*math.Sin(ang)}
+				nonInf := 1.0
+				for _, p := range pts {
+					nonInf *= 1 - pf.Prob(c.Dist(p))
+				}
+				if r.Classify(c) == NotInfluenced && 1-nonInf >= tau {
+					t.Fatalf("τ=%v n=%d: NIB ruled out %v, but 1 − Π = %v", tau, n, c, 1-nonInf)
+				}
+			}
+		}
 	}
 }

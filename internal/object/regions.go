@@ -6,43 +6,36 @@ import (
 	"pinocchio/internal/geo"
 )
 
-// Regions bundles the per-object pruning geometry of §4.2: the MBR, the
-// object's minMaxRadius μ, and the derived influence-arcs (IA) and
+// MarginRegions bundles the per-object pruning geometry of §4.2: the
+// MBR and the squared radii of the influence-arcs (IA) and
 // non-influence-boundary (NIB) regions. Membership tests reduce to the
 // maxDist/minDist inequalities that define the regions:
 //
-//	c ∈ IA  ⇔ maxDist(c, MBR) ≤ μ   (Lemma 2: c certainly influences O)
-//	c ∉ NIB ⇔ minDist(c, MBR) > μ   (Lemma 3: c cannot influence O)
+//	c ∈ IA  ⇔ maxDist(c, MBR)² ≤ IASq   (Lemma 2: c certainly influences O)
+//	c ∉ NIB ⇔ minDist(c, MBR)² > NIBSq  (Lemma 3: c cannot influence O)
 //
-// Candidates inside NIB but outside IA must be validated exactly.
-type Regions struct {
-	MBR    geo.Rect
-	Radius float64 // minMaxRadius(τ, n) of the object
+// The paper draws both regions with the object's minMaxRadius μ; the
+// radii here come from MarginTable, inside μ for IA and outside it for
+// NIB, so a verdict settled by geometry is the one NA's floating-point
+// product reaches. Candidates inside NIB but outside IA
+// must be validated exactly.
+type MarginRegions struct {
+	MBR geo.Rect
+	// NIBSq and IASq are the squared NIB and IA radii; a negative IASq
+	// disables the IA rule.
+	NIBSq, IASq float64
 }
 
-// NewRegions returns the pruning geometry for an object with the given
-// minMaxRadius.
-func NewRegions(o *Object, radius float64) Regions {
-	return Regions{MBR: o.MBR(), Radius: radius}
-}
+// InIA reports whether every position of the object is within the IA
+// radius of c: the pair is influenced.
+func (r MarginRegions) InIA(c geo.Point) bool { return r.MBR.MaxDistSq(c) <= r.IASq }
 
-// InIA reports whether candidate point c lies in the closed region
-// bounded by the four influence arcs (Lemma 2). Equivalent to: every
-// point of the MBR — hence every position of the object — is within μ
-// of c.
-func (r Regions) InIA(c geo.Point) bool {
-	return r.MBR.MaxDistSq(c) <= r.Radius*r.Radius
-}
-
-// InNIB reports whether c lies inside the non-influence boundary
-// (Definition 7): the set of points within μ of the MBR. Candidates
-// outside cannot influence the object (Lemma 3).
-func (r Regions) InNIB(c geo.Point) bool {
-	return r.MBR.MinDistSq(c) <= r.Radius*r.Radius
-}
+// InNIB reports whether c lies within the NIB radius of the MBR;
+// outside it the pair is not influenced.
+func (r MarginRegions) InNIB(c geo.Point) bool { return r.MBR.MinDistSq(c) <= r.NIBSq }
 
 // Classify buckets a candidate per the pruning rules.
-func (r Regions) Classify(c geo.Point) Class {
+func (r MarginRegions) Classify(c geo.Point) Class {
 	if r.InIA(c) {
 		return Influenced
 	}
@@ -51,6 +44,12 @@ func (r Regions) Classify(c geo.Point) Class {
 	}
 	return NotInfluenced
 }
+
+// NIBBox returns the MBR of the non-influence boundary: the object MBR
+// expanded by the NIB radius on every side. Algorithm 1 uses this
+// rectangle to retrieve a candidate superset with a single R-tree range
+// query (inspired by [7]).
+func (r MarginRegions) NIBBox() geo.Rect { return r.MBR.Expand(math.Sqrt(r.NIBSq)) }
 
 // Class is the pruning-phase verdict for a candidate/object pair.
 type Class int
@@ -78,80 +77,4 @@ func (c Class) String() string {
 	default:
 		return "unknown"
 	}
-}
-
-// NIBBox returns the MBR of the non-influence boundary: the object MBR
-// expanded by μ on every side. Algorithm 1 uses this rectangle to
-// retrieve a candidate superset with a single R-tree range query
-// (inspired by [7]).
-func (r Regions) NIBBox() geo.Rect {
-	return r.MBR.Expand(r.Radius)
-}
-
-// IANonEmpty reports whether the influence-arcs region contains any
-// point at all, which requires μ ≥ the MBR half-diagonal (so that the
-// four arcs meet).
-func (r Regions) IANonEmpty() bool {
-	return r.Radius >= r.MBR.HalfDiagonal()
-}
-
-// IAArea returns the exact area S_I enclosed by the four influence
-// arcs, and 0 when the region is empty. Derivation: by symmetry the
-// region is four congruent quarter-lobes; each is the circular segment
-// geometry of an arc of radius μ centered on a corner, cut by the two
-// axes through the MBR center. Integrating the arc x ↦ y(x) between
-// the axis intersections gives, with w = width, h = height:
-//
-//	S_I = 4·[ μ²/2·(θ₂−θ₁) + μ²/4·(sin 2θ₂ − sin 2θ₁)
-//	          − h/2·(μ·cos θ₁ − w/2) ]
-//
-// where θ₁ = asin(h/(2μ)) and θ₂ = acos(w/(2μ)) parameterize where
-// the corner arc crosses the X and Y axes. (The paper's Remark in
-// §4.3 states an equivalent closed form with its own angle symbols α
-// and β.)
-func (r Regions) IAArea() float64 {
-	if !r.IANonEmpty() {
-		return 0
-	}
-	w, h, mu := r.MBR.Width(), r.MBR.Height(), r.Radius
-	if mu == 0 {
-		return 0
-	}
-	// Arc from corner (w/2, h/2)... consider the corner at
-	// (-w/2, -h/2): its arc bounds the region on the far (+x,+y) side.
-	// Parameterize points on that arc as
-	// (x, y) = (-w/2 + μ·cos θ, -h/2 + μ·sin θ).
-	// It crosses the X axis (y = 0) at sin θ₁ = h/(2μ) and the Y axis
-	// (x = 0) at cos θ₂ = w/(2μ), with θ ∈ [θ₁, θ₂] tracing the
-	// quarter-lobe in quadrant I relative to the center.
-	s1 := h / (2 * mu)
-	c2 := w / (2 * mu)
-	if s1 > 1 || c2 > 1 {
-		return 0
-	}
-	th1 := math.Asin(s1)
-	th2 := math.Acos(c2)
-	if th2 < th1 {
-		// μ large enough that the arcs cross the axes beyond each
-		// other: the region is bounded by arc portions only in
-		// [th1, th2]; if inverted the lobe is empty beyond the overlap.
-		return 0
-	}
-	// Area of one lobe in quadrant I: ∫ y dx from x(θ₂)=0 to x(θ₁),
-	// computed in θ (note dx = −μ sin θ dθ, so integrating θ from θ₁
-	// to θ₂ with a sign flip):
-	// A = ∫_{θ1}^{θ2} (−h/2 + μ sin θ)(μ sin θ) dθ
-	A := -h/2*mu*(math.Cos(th1)-math.Cos(th2)) +
-		mu*mu/2*((th2-th1)-(math.Sin(2*th2)-math.Sin(2*th1))/2)
-	return 4 * A
-}
-
-// NIBArea returns the exact area S_N enclosed by the non-influence
-// boundary (Remark, §4.3): the MBR inflated by μ with quarter-circle
-// corners,
-//
-//	S_N = π·μ² + w·h + 2(w+h)·μ.
-func (r Regions) NIBArea() float64 {
-	w, h, mu := r.MBR.Width(), r.MBR.Height(), r.Radius
-	return math.Pi*mu*mu + w*h + 2*(w+h)*mu
 }

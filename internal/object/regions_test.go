@@ -9,27 +9,30 @@ import (
 	"pinocchio/internal/probfn"
 )
 
-func regionsForTest(w, h, mu float64) Regions {
-	return Regions{
-		MBR:    geo.Rect{Min: geo.Point{X: -w / 2, Y: -h / 2}, Max: geo.Point{X: w / 2, Y: h / 2}},
-		Radius: mu,
+// regionsForTest centers a w×h MBR on the origin with the given NIB
+// and IA radii.
+func regionsForTest(w, h, nib, ia float64) MarginRegions {
+	return MarginRegions{
+		MBR:   geo.Rect{Min: geo.Point{X: -w / 2, Y: -h / 2}, Max: geo.Point{X: w / 2, Y: h / 2}},
+		NIBSq: nib * nib,
+		IASq:  ia * ia,
 	}
 }
 
 func TestClassifyBuckets(t *testing.T) {
-	// MBR 2×2 centered at origin, μ = 3: half-diagonal √2 < 3, so IA
-	// is non-empty.
-	r := regionsForTest(2, 2, 3)
+	// MBR 2×2 centered at origin, IA radius 2.9 and NIB radius 3:
+	// half-diagonal √2 < 2.9, so IA is non-empty.
+	r := regionsForTest(2, 2, 3, 2.9)
 	tests := []struct {
 		name string
 		c    geo.Point
 		want Class
 	}{
-		{"center", geo.Point{X: 0, Y: 0}, Influenced},               // maxDist = √2 ≤ 3
-		{"corner", geo.Point{X: 1, Y: 1}, Influenced},               // maxDist = 2√2 ≤ 3
-		{"just outside IA", geo.Point{X: 2, Y: 2}, NeedsValidation}, // maxDist = √18 > 3, minDist = √2 ≤ 3
+		{"center", geo.Point{X: 0, Y: 0}, Influenced},               // maxDist = √2 ≤ 2.9
+		{"corner", geo.Point{X: 1, Y: 1}, Influenced},               // maxDist = 2√2 ≤ 2.9
+		{"just outside IA", geo.Point{X: 2, Y: 2}, NeedsValidation}, // maxDist = √18 > 2.9, minDist = √2 ≤ 3
 		{"inside NIB band", geo.Point{X: 3.5, Y: 0}, NeedsValidation},
-		{"on NIB edge", geo.Point{X: 4, Y: 0}, NeedsValidation}, // minDist = 3 = μ
+		{"on NIB edge", geo.Point{X: 4, Y: 0}, NeedsValidation}, // minDist = 3 = NIB radius
 		{"outside NIB", geo.Point{X: 4.01, Y: 0}, NotInfluenced},
 		{"far corner diagonal", geo.Point{X: 4, Y: 4}, NotInfluenced}, // minDist = 3√2 > 3
 	}
@@ -51,22 +54,29 @@ func TestClassStrings(t *testing.T) {
 	}
 }
 
+// TestIAEmptyWhenRadiusSmall: an IA radius below the MBR's
+// half-diagonal reaches no point from every corner, and a negative
+// IASq (no IA radius found) disables the rule even on a point MBR.
 func TestIAEmptyWhenRadiusSmall(t *testing.T) {
-	// μ below half-diagonal: no point can be within μ of all corners.
-	r := regionsForTest(4, 2, 2) // half-diag = √5 ≈ 2.236 > 2
-	if r.IANonEmpty() {
-		t.Error("IA should be empty")
+	r := regionsForTest(4, 2, 3, 2) // half-diag = √5 ≈ 2.236 > 2
+	rng := rand.New(rand.NewSource(62))
+	for i := 0; i < 2000; i++ {
+		p := geo.Point{X: (rng.Float64() - 0.5) * 12, Y: (rng.Float64() - 0.5) * 12}
+		if r.InIA(p) {
+			t.Fatalf("point %v in an empty IA", p)
+		}
 	}
 	if r.InIA(geo.Point{X: 0, Y: 0}) {
 		t.Error("center should not be in empty IA")
 	}
-	if r.IAArea() != 0 {
-		t.Errorf("empty IA area = %v", r.IAArea())
+	point := MarginRegions{MBR: geo.Rect{}, NIBSq: 9, IASq: -1}
+	if got := point.Classify(geo.Point{}); got != NeedsValidation {
+		t.Errorf("disabled IA on a point MBR classifies its own position as %v, want %v", got, NeedsValidation)
 	}
 }
 
 func TestNIBBox(t *testing.T) {
-	r := regionsForTest(2, 4, 1.5)
+	r := regionsForTest(2, 4, 1.5, 1)
 	want := geo.Rect{Min: geo.Point{X: -2.5, Y: -3.5}, Max: geo.Point{X: 2.5, Y: 3.5}}
 	if got := r.NIBBox(); got != want {
 		t.Errorf("NIBBox = %v, want %v", got, want)
@@ -81,104 +91,48 @@ func TestNIBBox(t *testing.T) {
 	}
 }
 
-// TestIAAreaAgainstMonteCarlo cross-checks the closed-form S_I.
-func TestIAAreaAgainstMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(63))
-	cases := []struct{ w, h, mu float64 }{
-		{2, 2, 3},
-		{4, 2, 4},
-		{1, 5, 4},
-		{0, 0, 2},                   // point MBR: S_I = πμ²
-		{3, 0, 2.5},                 // segment MBR
-		{2, 2, math.Sqrt2 * 1.0001}, // barely non-empty
-	}
-	for _, c := range cases {
-		r := regionsForTest(c.w, c.h, c.mu)
-		got := r.IAArea()
-		// Monte Carlo over the bounding box of the IA region (it is
-		// inside the MBR expanded... actually inside the NIB box).
-		box := r.NIBBox()
-		const samples = 400000
-		hits := 0
-		for i := 0; i < samples; i++ {
-			p := geo.Point{
-				X: box.Min.X + rng.Float64()*box.Width(),
-				Y: box.Min.Y + rng.Float64()*box.Height(),
-			}
-			if r.InIA(p) {
-				hits++
-			}
-		}
-		mc := float64(hits) / samples * box.Area()
-		tol := 0.02*mc + 0.01
-		if math.Abs(got-mc) > tol {
-			t.Errorf("w=%v h=%v mu=%v: IAArea = %v, MC estimate %v", c.w, c.h, c.mu, got, mc)
-		}
-	}
-}
-
-func TestIAAreaPointMBRIsDisk(t *testing.T) {
-	r := regionsForTest(0, 0, 2)
-	if got, want := r.IAArea(), math.Pi*4; math.Abs(got-want) > 1e-9 {
-		t.Errorf("point-MBR IA area = %v, want πμ² = %v", got, want)
-	}
-}
-
-// TestNIBAreaAgainstMonteCarlo cross-checks the closed-form S_N.
-func TestNIBAreaAgainstMonteCarlo(t *testing.T) {
-	rng := rand.New(rand.NewSource(64))
-	cases := []struct{ w, h, mu float64 }{
-		{2, 2, 1},
-		{4, 1, 2.5},
-		{0, 0, 3}, // point MBR: πμ²
-	}
-	for _, c := range cases {
-		r := regionsForTest(c.w, c.h, c.mu)
-		got := r.NIBArea()
-		box := r.NIBBox()
-		const samples = 400000
-		hits := 0
-		for i := 0; i < samples; i++ {
-			p := geo.Point{
-				X: box.Min.X + rng.Float64()*box.Width(),
-				Y: box.Min.Y + rng.Float64()*box.Height(),
-			}
-			if r.InNIB(p) {
-				hits++
-			}
-		}
-		mc := float64(hits) / samples * box.Area()
-		if math.Abs(got-mc) > 0.02*mc+0.01 {
-			t.Errorf("w=%v h=%v mu=%v: NIBArea = %v, MC estimate %v", c.w, c.h, c.mu, got, mc)
-		}
-	}
-}
-
-// TestIAInsideNIB: the influence-arcs region is always contained in
-// the non-influence boundary region (maxDist ≥ minDist).
+// TestIAInsideNIB: with a table's radii the influence-arcs region lies
+// inside the non-influence boundary region (IA radius ≤ NIB radius and
+// maxDist ≥ minDist).
 func TestIAInsideNIB(t *testing.T) {
+	pf := probfn.DefaultPowerLaw()
 	rng := rand.New(rand.NewSource(65))
+	inIA := 0
 	for i := 0; i < 100; i++ {
-		w, h := rng.Float64()*10, rng.Float64()*10
-		mu := rng.Float64() * 15
-		r := regionsForTest(w, h, mu)
+		tau := 0.05 + 0.9*rng.Float64()
+		pts := make([]geo.Point, 1+rng.Intn(20))
+		for j := range pts {
+			pts[j] = geo.Point{X: rng.NormFloat64() * 0.5, Y: rng.NormFloat64() * 0.5}
+		}
+		r := NewMarginTable(pf, tau, tau).Regions(MustNew(i, pts))
+		if r.IASq > r.NIBSq {
+			t.Fatalf("τ=%v n=%d: IA radius² %v above NIB radius² %v", tau, len(pts), r.IASq, r.NIBSq)
+		}
 		for j := 0; j < 100; j++ {
-			p := geo.Point{X: (rng.Float64() - 0.5) * 40, Y: (rng.Float64() - 0.5) * 40}
-			if r.InIA(p) && !r.InNIB(p) {
-				t.Fatalf("point %v in IA but not NIB (w=%v h=%v mu=%v)", p, w, h, mu)
+			p := geo.Point{X: (rng.Float64() - 0.5) * 20, Y: (rng.Float64() - 0.5) * 20}
+			if r.InIA(p) {
+				inIA++
+				if !r.InNIB(p) {
+					t.Fatalf("point %v in IA but not NIB (τ=%v, regions %+v)", p, tau, r)
+				}
 			}
 		}
+	}
+	if inIA == 0 {
+		t.Fatal("no sampled point fell in an IA region")
 	}
 }
 
 // TestClassifySoundAgainstExactInfluence is the central correctness
 // property of the pruning phase: Influenced ⇒ Pr_c(O) ≥ τ and
-// NotInfluenced ⇒ Pr_c(O) < τ, for random objects and candidates.
+// NotInfluenced ⇒ Pr_c(O) < τ, with Pr_c(O) the floating-point value
+// NA computes, for random objects and candidates.
 func TestClassifySoundAgainstExactInfluence(t *testing.T) {
 	pf := probfn.DefaultPowerLaw()
 	rng := rand.New(rand.NewSource(66))
 	tau := 0.7
-	rt := NewRadiusTable(pf, tau)
+	radii := NewMarginTable(pf, tau, tau)
+	var counts [3]int
 	for trial := 0; trial < 500; trial++ {
 		n := 1 + rng.Intn(40)
 		pts := make([]geo.Point, n)
@@ -187,8 +141,11 @@ func TestClassifySoundAgainstExactInfluence(t *testing.T) {
 			pts[i] = geo.Point{X: cx + rng.NormFloat64()*3, Y: cy + rng.NormFloat64()*3}
 		}
 		o := MustNew(trial, pts)
-		r := NewRegions(o, rt.Get(n))
+		r := radii.Regions(o)
 		c := geo.Point{X: rng.Float64() * 40, Y: rng.Float64() * 40}
+		if trial%5 == 0 {
+			c = pts[0] // near the positions, where IA can hold
+		}
 
 		nonInf := 1.0
 		for _, p := range pts {
@@ -196,9 +153,11 @@ func TestClassifySoundAgainstExactInfluence(t *testing.T) {
 		}
 		pr := 1 - nonInf
 
-		switch r.Classify(c) {
+		cls := r.Classify(c)
+		counts[cls]++
+		switch cls {
 		case Influenced:
-			if pr < tau-1e-9 {
+			if !(pr >= tau) {
 				t.Fatalf("IA claimed influence but Pr=%v < τ", pr)
 			}
 		case NotInfluenced:
@@ -207,12 +166,68 @@ func TestClassifySoundAgainstExactInfluence(t *testing.T) {
 			}
 		}
 	}
+	for cls, n := range counts {
+		if n == 0 {
+			t.Errorf("no pair classified %v", Class(cls))
+		}
+	}
 }
 
+// marginWalk returns an object of n positions on a short diagonal walk
+// with step dx, so objects of one n can differ in their MBRs.
+func marginWalk(id, n int, dx float64) *Object {
+	pts := make([]geo.Point, n)
+	for i := range pts {
+		pts[i] = geo.Point{X: float64(i) * dx, Y: float64(i%3) * dx}
+	}
+	return MustNew(id, pts)
+}
+
+// TestNewRegionsUsesObjectMBR: the regions MarginTable builds carry each
+// object's own MBR, and two objects of one position count share the
+// count's radii.
 func TestNewRegionsUsesObjectMBR(t *testing.T) {
-	o := MustNew(1, []geo.Point{{X: 0, Y: 0}, {X: 2, Y: 4}})
-	r := NewRegions(o, 1.5)
-	if r.MBR != o.MBR() || r.Radius != 1.5 {
-		t.Errorf("NewRegions = %+v", r)
+	tb := NewMarginTable(probfn.DefaultPowerLaw(), 0.6, 0.7)
+	a, b := marginWalk(1, 24, 0.01), marginWalk(2, 24, 0.02)
+	ra, rb := tb.Regions(a), tb.Regions(b)
+	if ra.MBR != a.MBR() || rb.MBR != b.MBR() {
+		t.Errorf("regions MBRs %v and %v, want the objects' %v and %v", ra.MBR, rb.MBR, a.MBR(), b.MBR())
+	}
+	if ra.NIBSq != rb.NIBSq || ra.IASq != rb.IASq {
+		t.Errorf("one n, two radii: %+v vs %+v", ra, rb)
+	}
+}
+
+// TestRadiusTableMemoizes: the package's radius table, MarginTable,
+// computes the radii once per position count — the squared NIB radius
+// at lo and IA radius at hi, just outside and just inside minMaxRadius;
+// an IA radius that PF(0) cannot reach is disabled.
+func TestRadiusTableMemoizes(t *testing.T) {
+	pf := probfn.DefaultPowerLaw()
+	tb := NewMarginTable(pf, 0.6, 0.7)
+	ra := tb.Regions(marginWalk(1, 24, 0.01))
+	if rb := tb.Regions(marginWalk(2, 24, 0.02)); ra.NIBSq != rb.NIBSq || ra.IASq != rb.IASq {
+		t.Errorf("memoized radii differ: %+v vs %+v", ra, rb)
+	}
+	if tb.Len() != 1 {
+		t.Errorf("Len = %d after one distinct n", tb.Len())
+	}
+	tb.Regions(marginWalk(3, 48, 0.01))
+	if tb.Len() != 2 {
+		t.Errorf("Len = %d after two distinct n", tb.Len())
+	}
+	nib, ia := nibRadius(pf, 0.6, 24), iaRadius(pf, 0.7, 24)
+	if ra.NIBSq != nib*nib || ra.IASq != ia*ia {
+		t.Errorf("cached radii² (%v, %v), want (%v, %v)", ra.NIBSq, ra.IASq, nib*nib, ia*ia)
+	}
+	if mu := MinMaxRadius(pf, 0.6, 24); !(nib > mu) || math.IsInf(nib, 0) {
+		t.Errorf("NIB radius %v not just outside minMaxRadius %v", nib, mu)
+	}
+	if mu := MinMaxRadius(pf, 0.7, 24); !(ia < mu) || ia < 0 {
+		t.Errorf("IA radius %v not just inside minMaxRadius %v", ia, mu)
+	}
+	// PF(0) = ρ = 0.9: one position cannot reach τ = 0.95.
+	if r := NewMarginTable(pf, 0.95, 0.95).Regions(marginWalk(4, 1, 0)); r.IASq >= 0 || r.InIA(r.MBR.Min) {
+		t.Errorf("τ above PF(0): IASq = %v, want the IA rule disabled", r.IASq)
 	}
 }

@@ -6,14 +6,14 @@
 // followed by exact branch-and-bound refinement.
 //
 // The construction rests on the two region lemmas the pruning layer
-// already uses (internal/object, paper §4.2):
+// already uses (internal/object, paper §4.2), with its margin-checked radii:
 //
-//   - NIB box (upper bound): a point outside MBR(O) expanded by
-//     μ = minMaxRadius(τ, n) cannot influence O. Hence at any point c
-//     the number of NIB boxes covering c bounds inf(c) from above.
+//   - NIB box (upper bound): a point outside MBR(O) expanded by the
+//     NIB radius cannot influence O. Hence at any point c the number
+//     of NIB boxes covering c bounds inf(c) from above.
 //   - IA box (lower bound): a box inscribed in the influence-arcs
-//     region; every point of it certainly influences O. The IA cover
-//     count at c bounds inf(c) from below.
+//     region of the IA radius; every point of it certainly influences
+//     O. The IA cover count at c bounds inf(c) from below.
 //
 // Sweeping the NIB boxes (Choi/Chung/Tao-style interval sweep over
 // compressed Y slots) yields the per-slab maximum cover — a sound
@@ -140,29 +140,29 @@ type Result struct {
 }
 
 // ObjectRects is one object's influence geometry, the unit the sweep
-// consumes. NIB is the upper-bound rectangle (MBR expanded by μ), IA
-// the inscribed guaranteed-influence rectangle (valid only when
-// HasIA).
+// consumes. Regions holds the object's MBR and its squared NIB and IA
+// radii; NIB is the upper-bound rectangle (MBR expanded by the NIB
+// radius), IA the inscribed guaranteed-influence rectangle (valid only
+// when HasIA).
 type ObjectRects struct {
-	Obj    *object.Object
-	Radius float64 // minMaxRadius(τ, n)
-	NIB    geo.Rect
-	IA     geo.Rect
-	HasIA  bool
+	Obj     *object.Object
+	Regions object.MarginRegions
+	NIB     geo.Rect
+	IA      geo.Rect
+	HasIA   bool
 }
 
 // CollectRects derives the influence rectangles for a set of objects
-// under pf/τ. The radius table memoizes minMaxRadius per position
-// count, exactly as the pruning layer does.
+// under pf/τ from the margin-checked radii (object.MarginTable at τ),
+// memoized per position count as the core solvers' pruning does.
 func CollectRects(objects []*object.Object, pf probfn.Func, tau float64) []ObjectRects {
-	rt := object.NewRadiusTable(pf, tau)
+	radii := object.NewMarginTable(pf, tau, tau)
 	out := make([]ObjectRects, 0, len(objects))
 	for _, o := range objects {
-		mu := rt.Get(o.N())
-		reg := object.NewRegions(o, mu)
-		r := ObjectRects{Obj: o, Radius: mu, NIB: reg.NIBBox()}
-		if reg.IANonEmpty() {
-			r.IA, r.HasIA = iaBox(o.MBR(), mu)
+		reg := radii.Regions(o)
+		r := ObjectRects{Obj: o, Regions: reg, NIB: reg.NIBBox()}
+		if ia := math.Sqrt(reg.IASq); reg.IASq >= 0 && ia >= o.MBR().HalfDiagonal() {
+			r.IA, r.HasIA = iaBox(o.MBR(), ia)
 		}
 		out = append(out, r)
 	}
@@ -170,11 +170,11 @@ func CollectRects(objects []*object.Object, pf probfn.Func, tau float64) []Objec
 }
 
 // iaBox returns an axis-aligned box inscribed in the influence-arcs
-// region: every point of the box is within μ of every point of the
-// MBR. The box is centered on the MBR with a symmetric margin s per
-// side; the binding constraint is the box corner against the opposite
-// MBR corner, (w+s)² + (h+s)² ≤ μ². Callers must have checked
-// IANonEmpty (μ ≥ half-diagonal); when the symmetric-margin box
+// region: every point of the box is within μ (the IA radius) of every
+// point of the MBR. The box is centered on the MBR with a symmetric
+// margin s per side; the binding constraint is the box corner against
+// the opposite MBR corner, (w+s)² + (h+s)² ≤ μ². Callers must have
+// checked μ ≥ half-diagonal; when the symmetric-margin box
 // degenerates (very elongated MBRs) the MBR center alone — whose max
 // distance to the MBR is exactly the half-diagonal — is returned as a
 // point box.

@@ -2,6 +2,7 @@ package optimize
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"testing"
@@ -268,5 +269,31 @@ func TestCollectRectsShardMerge(t *testing.T) {
 	}
 	if sharded.BestInfluence != whole.BestInfluence || sharded.SweepMax != whole.SweepMax {
 		t.Fatalf("sharded extraction diverged: %+v vs %+v", sharded, whole)
+	}
+}
+
+// TestOptimizeTinyTau: below τ ≈ 2·10⁻⁶ the NIB radii bound every
+// PF(d_i) instead of the product, so every rect and reported region
+// stays finite (the served response must encode as JSON) and the
+// answer is exact.
+func TestOptimizeTinyTau(t *testing.T) {
+	objs := randObjects(rand.New(rand.NewSource(13)), 60)
+	pf := probfn.DefaultPowerLaw()
+	for _, tau := range []float64{1e-7, 1e-16} {
+		for _, r := range CollectRects(objs, pf, tau) {
+			if b := r.NIB; math.IsInf(b.Min.X, 0) || math.IsInf(b.Max.Y, 0) {
+				t.Fatalf("τ=%v object %d: unbounded NIB box %v", tau, r.Obj.ID, b)
+			}
+		}
+		res, err := Optimize(&Problem{Objects: objs, PF: pf, Tau: tau, MaxRefine: 200, Ctx: context.Background()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := json.Marshal(res); err != nil {
+			t.Fatalf("τ=%v: result does not encode: %v", tau, err)
+		}
+		if want := exactInfluence(objs, pf, tau, res.BestPoint); res.BestInfluence != want {
+			t.Fatalf("τ=%v: best influence %d at %v, definition gives %d", tau, res.BestInfluence, res.BestPoint, want)
+		}
 	}
 }

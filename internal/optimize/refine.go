@@ -27,24 +27,27 @@ import (
 // subcells, so failing objects leave the cover set entirely:
 //
 //  1. NIB box vs cell intersection (the sweep's own geometry);
-//  2. exact Euclidean distance between cell and MBR vs μ (tighter
-//     than the box test at corners);
-//  3. for cells small against μ: a probabilistic bound — shrink every
-//     position distance by the cell half-diagonal r and evaluate
-//     1 − Π(1 − PF(max(0, d(p, center) − r))). PF is non-increasing,
-//     so this dominates Pr_c(O) for every c in the cell; as r → 0 it
-//     converges to the exact cumulative probability at the center,
-//     which is what closes the bound gap at fine scales.
+//  2. exact Euclidean distance between cell and MBR vs the NIB radius
+//     (tighter than the box test at corners);
+//  3. for cells small against the NIB radius: a probabilistic bound —
+//     shrink every position distance by the cell half-diagonal r and
+//     evaluate 1 − Π(1 − PF(max(0, d(p, center) − r))). PF is
+//     non-increasing, so this dominates Pr_c(O) for every c in the
+//     cell; as r → 0 it converges to the exact cumulative probability
+//     at the center, which is what closes the bound gap at fine scales.
 //
 // The fourth proves the opposite: when the farthest cell-to-MBR
-// distance is ≤ μ, every point of the cell lies in O's influence arcs
-// (Lemma 2 lifted from a point to a cell), so O influences the whole
-// cell and every subcell. Such an object is tallied in the cell's sure
-// count instead of being scanned, and leaves the cover set too. A
-// cell's bound is sure + |cover|, and its exact influence at a point
-// is sure + the exact count over the cover: the point's own maxDist to
-// the MBR never exceeds the cell's in floating point (each difference,
-// square and sum rounds monotonically), so the point IA test agrees.
+// distance is ≤ the IA radius, every point of the cell lies in O's
+// influence arcs (Lemma 2 lifted from a point to a cell), so O
+// influences the whole cell and every subcell. Such an object is
+// tallied in the cell's sure count instead of being scanned, and
+// leaves the cover set too. Tests 2 and 4 use the margin-checked radii
+// of object.MarginTable, so a verdict they settle is the one NA's
+// product reaches. A cell's bound is sure + |cover|, and its exact
+// influence at a point is sure + the exact count over the cover: the
+// point's own maxDist to the MBR never exceeds the cell's in floating
+// point (each difference, square and sum rounds monotonically), so the
+// point IA test agrees.
 //
 // Every cover scan (a cell bound, an exact evaluation) splits into
 // blocks of scanBlock objects claimed by up to GOMAXPROCS goroutines.
@@ -298,12 +301,11 @@ func cellBound(p *Problem, rs []ObjectRects, parent cell, rect geo.Rect) cell {
 			if !r.NIB.Intersects(rect) {
 				continue
 			}
-			mbr := r.Obj.MBR()
-			rr := r.Radius * r.Radius
-			if rectMinDistSq(rect, mbr) > rr {
+			reg := &r.Regions
+			if rectMinDistSq(rect, reg.MBR) > reg.NIBSq {
 				continue
 			}
-			if rectMaxDistSq(rect, mbr) <= rr {
+			if rectMaxDistSq(rect, reg.MBR) <= reg.IASq {
 				// Lemma 2 over the whole cell: O influences every point.
 				out.sure++
 				continue
@@ -312,7 +314,7 @@ func cellBound(p *Problem, rs []ObjectRects, parent cell, rect geo.Rect) cell {
 			// once the cell is small against the object's radius, where
 			// it has discriminating power. (The bound is sound at any
 			// size — the gate only skips scans that cannot prune.)
-			if half <= r.Radius {
+			if half*half <= reg.NIBSq {
 				ok, n := probReachable(p, r.Obj.Positions, center, half)
 				out.probes += n
 				if !ok {
@@ -364,9 +366,10 @@ func probReachable(p *Problem, positions []geo.Point, center geo.Point, r float6
 
 // exactAt computes the exact influence at point c over the cover set:
 // the number of objects with cumulative probability ≥ τ, via the same
-// classify-then-validate path the core solvers use. Validation stops
-// early once the partial product clears τ (Lemma 4 / Strategy 2) —
-// the remaining factors can only push the probability higher.
+// margin-checked classify-then-validate path the core solvers use, so
+// it counts what NA counts. Validation stops early once the partial
+// product clears τ (Lemma 4 / Strategy 2) — the remaining factors can
+// only push the probability higher.
 func exactAt(p *Problem, rs []ObjectRects, cover []int32, c geo.Point) int {
 	type block struct {
 		inf    int
@@ -377,15 +380,11 @@ func exactAt(p *Problem, rs []ObjectRects, cover []int32, c geo.Point) int {
 		var out block
 		for _, idx := range cover[lo:hi] {
 			r := &rs[idx]
-			mbr := r.Obj.MBR()
-			rr := r.Radius * r.Radius
-			// object.Regions.Classify spelled out: the method does not
-			// inline, and this test runs for every object scanned.
-			if mbr.MaxDistSq(c) <= rr {
+			if r.Regions.InIA(c) {
 				out.inf++
 				continue
 			}
-			if mbr.MinDistSq(c) > rr {
+			if !r.Regions.InNIB(c) {
 				continue
 			}
 			q := 1.0

@@ -2,12 +2,15 @@ package optimize
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
 	"testing"
 
+	"pinocchio/internal/core"
 	"pinocchio/internal/geo"
+	"pinocchio/internal/object"
 	"pinocchio/internal/probfn"
 )
 
@@ -110,6 +113,40 @@ func TestCellBoundSound(t *testing.T) {
 	}
 	if sures == 0 || covered == 0 {
 		t.Fatalf("%d cells tallied %d sure and covered %d objects: the test exercised neither the tally nor the cover", cells, sures, covered)
+	}
+}
+
+// TestExactAtBoundaryProbe places one check-in and one point at, and
+// one ulp on either side of, the distance where PF = τ (power law
+// λ = 1, ρ ∈ {0.5, 0.7, 0.9}, nine τ: the core boundary probe's 81
+// cases). exactAt over CollectRects must count what NA counts there,
+// and so must a point cell's sure tally plus exactAt over its cover.
+func TestExactAtBoundaryProbe(t *testing.T) {
+	taus := []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, 0.7}
+	for _, rho := range []float64{0.5, 0.7, 0.9} {
+		pf := probfn.PowerLaw{Rho: rho, D0: 1, Lambda: 1}
+		for _, tau := range taus {
+			d := pf.Inverse(tau)
+			for _, dist := range []float64{math.Nextafter(d, 0), d, math.Nextafter(d, math.Inf(1))} {
+				objs := []*object.Object{object.MustNew(0, []geo.Point{{X: 0, Y: 0}})}
+				c := geo.Point{X: dist, Y: 0}
+				na, err := core.NA(&core.Problem{Objects: objs, Candidates: []geo.Point{c}, PF: pf, Tau: tau})
+				if err != nil {
+					t.Fatal(err)
+				}
+				p := &Problem{PF: pf, Tau: tau}
+				rs := CollectRects(objs, pf, tau)
+				top := cell{cover: []int32{0}}
+				if got := exactAt(p, rs, top.cover, c); got != na.BestInfluence {
+					t.Errorf("rho %v tau %v dist %v: exactAt %d, NA %d", rho, tau, dist, got, na.BestInfluence)
+				}
+				pt := cellBound(p, rs, top, geo.Rect{Min: c, Max: c})
+				if got := pt.sure + exactAt(p, rs, pt.cover, c); got != na.BestInfluence {
+					t.Errorf("rho %v tau %v dist %v: point cell sure %d + exactAt over cover %v = %d, NA %d",
+						rho, tau, dist, pt.sure, pt.cover, got, na.BestInfluence)
+				}
+			}
+		}
 	}
 }
 

@@ -3,19 +3,74 @@ package server
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"testing"
 
 	"pinocchio/internal/geo"
 	"pinocchio/internal/object"
+	"pinocchio/internal/probfn"
 )
 
 // sumAccounted mirrors core.Cost.AccountedPairs on the wire shape.
 func sumAccounted(e *ExplainJSON) int64 {
 	return e.PrunedIA + e.PrunedNIBBox + e.PrunedNIBArc +
 		e.ValidatedLive + e.SkippedByBounds
+}
+
+// TestServedBoundaryProbe places one check-in and one candidate at,
+// and one ulp either side of, the distance where the default PF equals
+// τ, for nine τ (the engine's own among them): 27 cases. pin, pin-vo,
+// pin-par and pin-vo*, sent plain (answered from an index or the
+// engine vectors), with "explain": true (a live solve) and to a server
+// with the index cache off (a live solve), must each answer what na
+// answers.
+func TestServedBoundaryProbe(t *testing.T) {
+	pf := probfn.DefaultPowerLaw()
+	objs := []*object.Object{object.MustNew(0, []geo.Point{{X: 0, Y: 0}})}
+	for _, tau := range []float64{0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.4, 0.45, engineTau} {
+		d := pf.Inverse(tau)
+		for _, dist := range []float64{math.Nextafter(d, 0), d, math.Nextafter(d, math.Inf(1))} {
+			cands := []geo.Point{{X: dist, Y: 0}}
+			s, err := New(Config{}, objs, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live, err := New(Config{PlanCacheSize: -1}, objs, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
+			best := func(srv *Server, body string) CandidateJSON {
+				t.Helper()
+				var r QueryResponse
+				if rec := do(t, srv, "POST", "/v1/query", body, &r); rec.Code != http.StatusOK {
+					t.Fatalf("tau %v dist %v %s: %d %s", tau, dist, body, rec.Code, rec.Body.String())
+				}
+				return r.Best
+			}
+			want := best(s, queryBody("na", tau, 0))
+			for _, alg := range []string{"pin", "pin-vo", "pin-par", "pin-vo*"} {
+				body := queryBody(alg, tau, 0)
+				modes := []struct {
+					name string
+					srv  *Server
+					body string
+				}{
+					{"plain", s, body},
+					{"explain", s, body[:len(body)-1] + `,"explain":true}`},
+					{"live server", live, body},
+				}
+				for _, m := range modes {
+					if got := best(m.srv, m.body); got != want {
+						t.Errorf("tau %v dist %v %s %s: best %+v, na %+v", tau, dist, alg, m.name, got, want)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestQueryExplain checks the explain block for every algorithm: the

@@ -28,23 +28,33 @@ echo "== sharded parity -race"
 # the race detector even when the suite above is trimmed locally.
 go test -race -run 'TestSharded' ./internal/server
 
-echo "== influence exactness (index, engine, seed, guard) -race"
-# The index answers every τ of an interval from sorted non-influence
-# products, and the incremental engine maintains the influence vector
-# that queries at its own PF/τ read; these pin both to NA bit for bit (the
-# boundary probes, the randomized property over every PF family, and
-# the served engine path against a live server and NA over a random
-# ingest stream). The guard probe checks that TopKGuard (armed by
-# perfbench's traced replay) never certifies a top-k that NA's verdict
-# has flipped, and the serving stress test drives index builds,
-# engine-vector reads, snapshot swaps and mutations concurrently. The
-# seed parity test requires the boot seed (object-major, one goroutine
-# per shard) to build the state and counters the candidate-major loop
-# builds; it is repeated so the detector sees many shard interleavings.
-go test -race -run 'TestIndexBoundaryProbe|TestIndexMatchesNA|TestPinocchioVOTieBreak' ./internal/core
+echo "== influence exactness (solvers, index, engine, seed, guard, served, optimize) -race"
+# Every path decides Definition 2 as NA does: pruning by the
+# margin-checked radii (object.MarginTable) and the early stop at
+# object.EarlyStopBar, shared by every static solver, the influence
+# index, the incremental engine, the guard and optimize. The boundary
+# probes place one check-in and one candidate at, and an ulp either
+# side of, the distance where PF = τ: the core probe runs every static
+# solver entry point (with and without a plan) and the index against
+# NA, the served probe sends pin, pin-vo, pin-par and pin-vo* plain,
+# with explain and to a live (-plan-cache 0) server, and the optimize
+# probe evaluates exactAt and a point cell's bound there.
+# TestAlgorithmsAgree repeats the solver check on random instances of
+# every PF family. The index property test walks widening intervals,
+# and the served engine path is checked against a live server and NA
+# over a random ingest stream. The guard probe checks that TopKGuard
+# (armed by perfbench's traced replay) never certifies a top-k that
+# NA's verdict has flipped, and the serving stress test drives index
+# builds, engine-vector reads, snapshot swaps and mutations
+# concurrently. The seed parity test requires the boot seed
+# (object-major, one goroutine per shard) to build the state and
+# counters the candidate-major loop builds; it is repeated so the
+# detector sees many shard interleavings.
+go test -race -run 'TestIndexBoundaryProbe|TestIndexMatchesNA|TestPinocchioVOTieBreak|TestAlgorithmsAgree|TestExtremeTaus' ./internal/core
 go test -race -run 'TestEngineBoundaryProbe|TestGuardBoundaryProbe' ./internal/dynamic
 go test -race -count=10 -run 'TestSeedMatchesCandidateMajor' ./internal/dynamic
-go test -race -run 'TestServeStressNo500|TestEnginePathParity' ./internal/server
+go test -race -run 'TestServeStressNo500|TestEnginePathParity|TestServedBoundaryProbe' ./internal/server
+go test -race -run 'TestExactAtBoundaryProbe' ./internal/optimize
 
 echo "== optimize dominance -race"
 # The bound-soundness property: the candidate-free optimizer's answer
